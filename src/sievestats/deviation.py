@@ -16,6 +16,10 @@ from .kinds import MOEBIUS, FunctionKind
 from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments
 from .sums import SummationSeries, accumulate
 
+#: Relative widening of the pruning bound in `mertens_riemann_check`; far
+#: above the few-ulp rounding of the log and division that compute a ratio.
+PRUNE_SLACK = 1.0 + 1e-9
+
 
 @dataclass(frozen=True)
 class PsiSpec:
@@ -161,6 +165,9 @@ def mertens_riemann_check(
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
     unreliable here.  Streams over sieve segments, so memory stays bounded.
+    A segment [lo, hi] with lo >= 2 cannot raise the running worst when its
+    bound log(max |M|) / (exponent * log(lo)), widened by PRUNE_SLACK, stays
+    below it; such a segment only counts its zeros of M into `skipped`.
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
@@ -170,8 +177,16 @@ def mertens_riemann_check(
     running = 0
     worst, argmax, skipped = None, 0, 0
     for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size, workers=workers):
-        m = np.cumsum(vals, dtype=np.int64) + running
-        running = int(m[-1])
+        # M(n) - M(lo - 1) first; a segment of fewer than 2^31 values fits in int32.
+        m = np.cumsum(vals, dtype=np.int32 if len(vals) < 2**31 else np.int64)
+        base, running = running, running + int(m[-1])
+        if worst is not None and lo >= 2:
+            peak = max(int(m.max()) + base, -(int(m.min()) + base))
+            if peak == 0 or math.log(peak) / (exponent * math.log(lo)) * PRUNE_SLACK < worst:
+                skipped += int(np.count_nonzero(m == -base))
+                continue
+        m = m.astype(np.int64)
+        m += base
         nvals = np.arange(lo, hi + 1, dtype=np.float64)
         mask = (np.abs(m) >= 1) & (nvals >= 2)
         skipped += int(len(m) - np.count_nonzero(mask))

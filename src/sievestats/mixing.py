@@ -133,12 +133,16 @@ def _subset_index_lists(size: int) -> list[list[int]]:
 
 def alpha_hat_values(values: np.ndarray, alphabet, lags) -> MixingEstimate:
     """Strong-mixing estimate for a raw value sequence over a finite alphabet."""
+    values = np.asarray(values)
     n = len(values)
     lags = _validate_lags(lags, n, minimum=1)
     alphabet = np.asarray(sorted(alphabet))
     size = len(alphabet)
     if size > 8:
         raise ValueError("exhaustive subset scan limited to alphabets of <= 8 values")
+    # Compared in the values' own dtype: searchsorted would map strays silently.
+    if sum(int(np.count_nonzero(values == a)) for a in alphabet.tolist()) != n:
+        raise ValueError(f"values outside the alphabet {tuple(alphabet.tolist())}")
     idx = np.searchsorted(alphabet, values)
     subsets = _subset_index_lists(size)
     out = []

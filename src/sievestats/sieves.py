@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import tempfile
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +27,8 @@ from .kinds import FunctionKind, parse_kind
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # cache-resident marking buffers
 DEFAULT_MAX_HI = 10**9
+LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
+SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,7 @@ def _prime_flags_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     flags = np.ones(hi - lo + 1, dtype=bool)
     if lo == 1:
         flags[0] = False
-    for p in primes:
-        p = int(p)
+    for p in primes.tolist():
         if p * p > hi:
             break
         start = max(p * p, _first_multiple(lo, p))
@@ -96,34 +99,9 @@ def _prime_flags_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _moebius_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    mu = np.ones(hi - lo + 1, dtype=np.int8)
-    acc = np.ones(hi - lo + 1, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p > hi:
-            break
-        start = _first_multiple(lo, p)
-        if start <= hi:
-            sl = slice(start - lo, None, p)
-            np.negative(mu[sl], out=mu[sl])
-            acc[sl] *= p
-        square = p * p
-        start = _first_multiple(lo, square)
-        if start <= hi:
-            mu[start - lo :: square] = 0
-    # A cofactor acc < n left after dividing out the base primes is a single
-    # prime above the base set (two such primes would exceed hi).
-    nvals = np.arange(lo, hi + 1, dtype=np.int64)
-    flip = (mu != 0) & (acc != nvals)
-    mu[flip] = -mu[flip]
-    return mu
-
-
 def _squarefree_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     free = np.ones(hi - lo + 1, dtype=np.int8)
-    for p in primes:
-        p = int(p)
+    for p in primes.tolist():
         square = p * p
         if square > hi:
             break
@@ -133,32 +111,47 @@ def _squarefree_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return free
 
 
-def _divisor_counts_segment(lo: int, hi: int, primes: np.ndarray):
-    """Distinct (omega) and with-multiplicity (big omega) prime counts."""
-    size = hi - lo + 1
-    omega = np.zeros(size, dtype=np.int8)
-    bigomega = np.zeros(size, dtype=np.int8)
-    acc = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
+def _signature_sign(
+    lo: int, hi: int, primes: np.ndarray, *, multiplicity: bool, omega=None
+) -> np.ndarray:
+    """(-1)^(prime-factor count) of each n in [lo, hi] as int8, from a log sieve.
+
+    Counts distinct primes, or primes with multiplicity when `multiplicity`
+    is set; `omega`, if given, gains the distinct-prime count.  A uint8
+    accumulator `acc` gains L(p), the least odd integer >= S*log2(p) with
+    S = LOG_UNITS = 6, at every multiple of each base prime p (and of p^k when
+    counting multiplicity).  Odd units make `acc & 1` the parity of the sieved
+    count.  `primes` holds every prime up to at least sqrt(hi), 2 included, so
+    they leave over 1 or one prime q > sqrt(hi), with q > m = n/q and q >= 3.
+    The cofactor shows as a log deficit, acc < S*floor(log2 n), a threshold
+    constant on each [2^k, 2^(k+1)).  A fully sieved n has acc >= S*log2(n);
+    n = m*q has acc <= S*log2(m) + 2*Omega(m) <= (S+2)*log2(m) < S*(log2(n)-1)
+    as (S-2)*log2(q) >= S for q >= 3.  L(p) <= 7*log2(p) for every p, so
+    acc <= 7*log2(n) < 252 for n <= SIGNATURE_MAX_HI = 2^36 - 1: no wrap.
+    """
+    acc = np.zeros(hi - lo + 1, dtype=np.uint8)
+    units = np.ceil(LOG_UNITS * np.log2(primes)).astype(np.int64) | 1
+    for p, unit in zip(primes.tolist(), units.tolist()):
         if p > hi:
             break
         start = _first_multiple(lo, p)
-        if start <= hi:
+        if start > hi:
+            continue
+        acc[start - lo :: p] += unit
+        if omega is not None:
             omega[start - lo :: p] += 1
-        power = p
-        while power <= hi:
-            start = _first_multiple(lo, power)
-            if start <= hi:
-                sl = slice(start - lo, None, power)
-                bigomega[sl] += 1
-                acc[sl] *= p
+        power = p * p
+        while multiplicity and (start := _first_multiple(lo, power)) <= hi:
+            acc[start - lo :: power] += unit
             power *= p
-    nvals = np.arange(lo, hi + 1, dtype=np.int64)
-    leftover = acc != nvals
-    omega[leftover] += 1
-    bigomega[leftover] += 1
-    return omega, bigomega
+    for k in range(lo.bit_length() - 1, hi.bit_length()):
+        part = slice(max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1)
+        cofactor = acc[part] < LOG_UNITS * k
+        if omega is not None:
+            omega[part] += cofactor
+        acc[part] &= 1
+        acc[part] ^= cofactor
+    return 1 - 2 * acc.view(np.int8)
 
 
 def _von_mangoldt_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -167,8 +160,7 @@ def _von_mangoldt_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     nvals = np.arange(lo, hi + 1, dtype=np.float64)
     lam[flags] = np.log(nvals[flags])
     # Proper prime powers p^k (k >= 2) in range all have p <= sqrt(hi).
-    for p in primes:
-        p = int(p)
+    for p in primes.tolist():
         power = p * p
         if power > hi:
             break
@@ -189,16 +181,15 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
         return (flags[:-2] & flags[2:]).astype(np.int8)
     if tag == "squarefree_indicator":
         return _squarefree_segment(lo, hi, primes)
-    if tag == "moebius":
-        return _moebius_segment(lo, hi, primes)
-    if tag == "squarefree_parity_weight":
-        mu = _moebius_segment(lo, hi, primes)
-        return np.where(mu == 1, 2, mu).astype(np.int8)
+    if tag in ("moebius", "squarefree_parity_weight"):
+        mu = _squarefree_segment(lo, hi, primes)
+        mu *= _signature_sign(lo, hi, primes, multiplicity=False)
+        return mu if tag == "moebius" else np.where(mu == 1, 2, mu).astype(np.int8)
     if tag == "liouville":
-        _, bigomega = _divisor_counts_segment(lo, hi, primes)
-        return np.where(bigomega & 1, -1, 1).astype(np.int8)
+        return _signature_sign(lo, hi, primes, multiplicity=True)
     if tag == "omega_equals":
-        omega, _ = _divisor_counts_segment(lo, hi, primes)
+        omega = np.zeros(hi - lo + 1, dtype=np.int8)
+        _signature_sign(lo, hi, primes, multiplicity=True, omega=omega)
         return (omega == kind.k).astype(np.int8)
     if tag == "von_mangoldt":
         return _von_mangoldt_segment(lo, hi, primes)
@@ -224,6 +215,8 @@ def iter_segments(
         raise ValueError(f"invalid range [{lo}, {hi}]")
     if hi > max_hi:
         raise ValueError(f"hi={hi} exceeds the configured maximum {max_hi}")
+    if max_hi > SIGNATURE_MAX_HI:
+        raise ValueError(f"max_hi={max_hi} exceeds the uint8 signature bound {SIGNATURE_MAX_HI}")
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
     primes = base_primes(math.isqrt(hi + 2))  # +2 covers the twin lookahead
@@ -305,10 +298,7 @@ def factor_signature(n: int) -> FactorSignature:
 
 
 def _is_prime_slow(n: int) -> bool:
-    if n < 2:
-        return False
-    factors = trial_factors(n)
-    return len(factors) == 1 and factors[0] == (n, 1)
+    return n >= 2 and trial_factors(n) == [(n, 1)]
 
 
 def oracle_value(kind: FunctionKind, n: int):
@@ -347,13 +337,23 @@ def oracle_value(kind: FunctionKind, n: int):
 
 
 def write_table_csv(table: ValueTable, path) -> None:
-    """Cache format: header `kind,lo,hi`, then one value per line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{table.kind},{table.lo},{table.hi}\n")
-        if table.kind.is_integer_valued:
-            fh.writelines(f"{int(v)}\n" for v in table.values)
-        else:
-            fh.writelines(f"{float(v):.17g}\n" for v in table.values)
+    """Cache format: header `kind,lo,hi`, then one value per line.
+
+    Written to a temporary file beside `path` and renamed over it, so a
+    write that fails part-way leaves no partial file at `path`.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with open(fd, "w", newline="\n") as fh:
+            fh.write(f"{table.kind},{table.lo},{table.hi}\n")
+            if table.kind.is_integer_valued:
+                fh.writelines(f"{int(v)}\n" for v in table.values)
+            else:
+                fh.writelines(f"{float(v):.17g}\n" for v in table.values)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_table_csv(path) -> ValueTable:

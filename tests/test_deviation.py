@@ -163,6 +163,53 @@ def test_riemann_check_dense_vs_checkpoint_scan():
     assert report.skipped == int(len(m) - mask.sum())
 
 
+def _dense_riemann_reference(n_max, xi):
+    """(worst_ratio, argmax_n, skipped) from one unsegmented, unpruned pass."""
+    m = np.cumsum(ss.sieve_table(ss.MOEBIUS, 1, n_max).values, dtype=np.int64)
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    mask = (np.abs(m) >= 1) & (ns >= 2)
+    ratios = np.log(np.abs(m[mask]).astype(np.float64)) / ((0.5 + xi) * np.log(ns[mask]))
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), int(ns[mask][i]), int(len(m) - np.count_nonzero(mask))
+
+
+@pytest.mark.parametrize(
+    "n_max, xi, segment_size",
+    [
+        (30000, 0.0, 777),
+        (30000, 0.1, 1),
+        (100000, 0.02, 4096),
+        # The worst ratio moves past n = 5 only from n = 299158 on, in segment 5.
+        (400000, 0.0, 65536),
+        # ... and at n = 300551, near the start of a long second segment.
+        (400000, 0.0, 299000),
+        (400000, 0.05, 12345),
+        (400000, 0.3, 1 << 20),
+    ],
+)
+def test_pruned_riemann_check_matches_dense_reference(n_max, xi, segment_size):
+    report = ss.mertens_riemann_check(n_max, xi, segment_size=segment_size)
+    worst, argmax, skipped = _dense_riemann_reference(n_max, xi)
+    assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert (report.argmax_n, report.skipped) == (argmax, skipped)
+    assert report.passed == (worst <= 1.0)
+    assert type(report.skipped) is int
+
+
+def test_late_worst_ratio_survives_pruning():
+    report = ss.mertens_riemann_check(400000, 0.0, segment_size=65536)
+    assert report.argmax_n == 300551  # the fifth segment; the first sets n = 5
+    assert report.argmax_n // 65536 == 4
+
+
+@pytest.mark.parametrize("n_max, segment_size", [(50000, 999), (400000, 65536)])
+def test_pruning_changes_no_report_field(monkeypatch, n_max, segment_size):
+    pruned = ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size)
+    # An infinite slack makes every bound lose, so every segment is scanned.
+    monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
+    assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
+
+
 def test_riemann_check_guard_cases():
     with pytest.raises(ValueError, match="skipped"):
         ss.mertens_riemann_check(2, 0.0)

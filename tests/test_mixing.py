@@ -172,6 +172,14 @@ def test_alpha_rejects_unbounded_alphabet():
         ss.alpha_hat(vm, 100, [1])
 
 
+@pytest.mark.parametrize("stray", [1, 3, -2], ids=["between", "above", "below"])
+def test_alpha_rejects_values_outside_the_alphabet(stray):
+    vals = np.array([2, -1, 0, 2, -1, 0, 2, 2] * 10, dtype=np.int8)
+    vals[17] = stray
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        alpha_hat_values(vals, (-1, 0, 2), [1, 2])
+
+
 def test_alpha_iid_bernoulli_decays_like_sampling_noise():
     for n, bound in ((10**4, 2 / math.sqrt(10**4)), (10**6, 2 / math.sqrt(10**6))):
         rng = np.random.default_rng(np.random.SeedSequence(7))

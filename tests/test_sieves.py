@@ -1,9 +1,18 @@
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats.kinds import parse_kind
 from sievestats.sieves import (
+    LOG_UNITS,
+    SIGNATURE_MAX_HI,
+    base_primes,
+    iter_segments,
     oracle_value,
     read_table_csv,
     sieve_table,
@@ -176,3 +185,141 @@ def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):
     path.write_text("moebius,1,3\n1\n300\n-1\n")
     with pytest.raises(ValueError, match="alphabet"):
         read_table_csv(path)
+
+
+def test_csv_cache_failed_write_leaves_no_file(tmp_path):
+    def values():
+        yield from (1, -1, 0)
+        raise OSError("disk full")
+
+    table = types.SimpleNamespace(kind=ss.MOEBIUS, lo=1, hi=5, values=values())
+    path = tmp_path / "partial.csv"
+    with pytest.raises(OSError, match="disk full"):
+        write_table_csv(table, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_cache_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "cache.csv"
+    write_table_csv(sieve_table(ss.MOEBIUS, 1, 5), path)
+    before = path.read_bytes()
+    table = types.SimpleNamespace(kind=ss.MOEBIUS, lo=1, hi=5, values=iter([1, "x"]))
+    with pytest.raises(ValueError):
+        write_table_csv(table, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# Factor-signature kernel: moebius, parity weight, liouville, omega_equals
+# ---------------------------------------------------------------------------
+
+SIGNATURE_KINDS = [
+    ss.MOEBIUS,
+    ss.PARITY_WEIGHT,
+    ss.LIOUVILLE,
+    ss.omega_equals(1),
+    ss.omega_equals(2),
+    ss.omega_equals(3),
+]
+
+# The first prime above isqrt(10**9 + 2) = 31622: the smallest cofactor prime
+# a window ending at 10**9 leaves unsieved.
+FIRST_UNSIEVED = 31627
+
+
+def _assert_matches_oracle(kind, lo, hi, points=None, **kwargs):
+    table = sieve_table(kind, lo, hi, **kwargs)
+    for n in range(lo, hi + 1) if points is None else points:
+        assert table.value_at(n) == oracle_value(kind, n), f"{kind} at n={n} in [{lo}, {hi}]"
+
+
+def test_first_unsieved_prime_above_1e9_base():
+    assert math.isqrt(10**9 + 2) == 31622
+    assert [c for c in range(31623, FIRST_UNSIEVED + 1) if trial_factors(c) == [(c, 1)]] == [
+        FIRST_UNSIEVED
+    ]
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+@pytest.mark.parametrize(
+    "center",
+    [
+        223092870,  # 2*3*5*...*23, the largest omega (9) below 10**9
+        2**29,  # the largest big omega (29) below 10**9
+        3**18,  # the largest power of 3 below 10**9
+        2**14 * FIRST_UNSIEVED,  # smallest log deficit: m = 2^14 next to q
+    ],
+)
+def test_signature_extreme_factorizations(kind, center):
+    _assert_matches_oracle(kind, center - 12, center + 12)
+    _assert_matches_oracle(kind, center - 12, center + 12, segment_size=5)
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+def test_signature_cofactor_just_above_the_base_primes(kind):
+    # p*q with p the largest prime that fits and q the first unsieved prime;
+    # the window ends at 10**9 so the base primes stop at 31622.
+    n = 31607 * FIRST_UNSIEVED
+    points = [*range(n - 6, n + 7), *range(10**9 - 12, 10**9 + 1)]
+    _assert_matches_oracle(kind, n - 6, 10**9, points=points)
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+@pytest.mark.parametrize("p", [2, 3, 997, 31607])
+def test_signature_prime_square_at_segment_edges(kind, p):
+    square = p * p
+    for segment_size in (1, 2, 3, 4, 5):
+        _assert_matches_oracle(kind, max(1, square - 4), square + 4, segment_size=segment_size)
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+def test_signature_segment_size_one(kind):
+    _assert_matches_oracle(kind, 1, 300, segment_size=1)
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+def test_signature_tiny_ranges(kind):
+    for hi in range(1, 14):
+        for lo in range(1, hi + 1):
+            _assert_matches_oracle(kind, lo, hi)
+            _assert_matches_oracle(kind, lo, hi, segment_size=1)
+
+
+@pytest.mark.parametrize("kind", [ss.LIOUVILLE, ss.omega_equals(1)], ids=str)
+def test_signature_largest_powers_below_the_cap(kind):
+    # 2^35 and 3^22 put 245 and 242 units in the uint8 accumulator.
+    for n in (2**35, 3**22):
+        _assert_matches_oracle(kind, n, n, max_hi=SIGNATURE_MAX_HI)
+
+
+def test_signature_cap_is_refused_beyond_the_uint8_bound():
+    assert 7 * math.log2(SIGNATURE_MAX_HI) <= 255
+    next(iter_segments(ss.MOEBIUS, 1, 10, max_hi=SIGNATURE_MAX_HI))
+    with pytest.raises(ValueError, match="uint8 signature bound"):
+        next(iter_segments(ss.MOEBIUS, 1, 10, max_hi=SIGNATURE_MAX_HI + 1))
+
+
+def test_signature_log_units_are_far_from_rounding_ties():
+    # The kernel rounds LOG_UNITS*log2(p) up in floating point.  Away from 2
+    # no prime the cap can need lies within 1e-9 of an integer, far beyond
+    # the rounding error, so the units are the exact ceilings.  Each unit is
+    # also at most 7 per bit, which is what the uint8 bound relies on.
+    assert (LOG_UNITS - 2) * math.log2(3) >= LOG_UNITS  # the deficit premise
+    for p in base_primes(math.isqrt(SIGNATURE_MAX_HI)).tolist()[1:]:
+        x = LOG_UNITS * math.log2(p)
+        assert abs(x - round(x)) > 1e-9, p
+        assert (math.ceil(x) | 1) <= 7 * math.log2(p), p
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(SIGNATURE_KINDS),
+    lo=st.integers(1, 2 * 10**5),
+    length=st.integers(1, 400),
+    segment_size=st.integers(1, 512),
+    workers=st.sampled_from([1, 2]),
+)
+def test_signature_kinds_match_oracle_on_random_windows(kind, lo, length, segment_size, workers):
+    hi = min(lo + length - 1, 2 * 10**5)
+    _assert_matches_oracle(kind, lo, hi, segment_size=segment_size, workers=workers)
