@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,8 @@ import numpy as np
 from . import deviation as dev
 from . import empirical, mixing, normality, oeis, spectral
 from .kinds import FunctionKind, parse_kind
-from .sieves import read_table_csv, sieve_table, write_table_csv
-from .sums import PREFIX_ARRAY_LIMIT, accumulate
+from .sieves import read_table_csv, sieve_table, table_text, write_table_csv
+from .sums import accumulate
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class RunConfig:
     checkpoints: tuple[int, ...] = ()
     block_size: int | None = None
     lags: tuple[int, ...] = ()
-    seed: int = 0
     output: str = "-"
     cache_dir: str | None = None
 
@@ -131,22 +129,24 @@ def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
 
 def _cmd_table(args) -> int:
     cfg = RunConfig(kind=parse_kind(args.kind), output=args.output, cache_dir=args.cache_dir)
-    if cfg.cache_dir is not None:
-        cache = Path(cfg.cache_dir) / f"{cfg.kind}_{args.lo}_{args.hi}.csv"
-        if cache.exists():
-            table = read_table_csv(cache)
-        else:
-            table = sieve_table(cfg.kind, args.lo, args.hi, workers=args.workers)
-            cache.parent.mkdir(parents=True, exist_ok=True)
-            write_table_csv(table, cache)
+    if cfg.cache_dir is None:
+        table = sieve_table(cfg.kind, args.lo, args.hi, workers=args.workers)
+        _emit(table_text(table), cfg.output)
+        return 0
+    cache = Path(cfg.cache_dir) / f"{cfg.kind}_{args.lo}_{args.hi}.csv"
+    if cache.exists():
+        table = read_table_csv(cache)
+        if (table.kind, table.lo, table.hi) != (cfg.kind, args.lo, args.hi):
+            raise ValueError(
+                f"cache file {cache} holds {table.kind},{table.lo},{table.hi},"
+                f" not {cfg.kind},{args.lo},{args.hi}"
+            )
+        text = table_text(table)
     else:
         table = sieve_table(cfg.kind, args.lo, args.hi, workers=args.workers)
-    lines = [f"{table.kind},{table.lo},{table.hi}"]
-    if table.kind.is_integer_valued:
-        lines.extend(str(int(v)) for v in table.values)
-    else:
-        lines.extend(f"{float(v):.17g}" for v in table.values)
-    _emit("\n".join(lines) + "\n", cfg.output)
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        text = write_table_csv(table, cache)
+    _emit(text, cfg.output)
     return 0
 
 
@@ -257,7 +257,9 @@ def _cmd_deviation(args) -> int:
         output=args.output,
     )
     if args.mode == "variance-growth":
-        growth = dev.variance_growth(cfg.kind, cfg.n_max, cfg.block_size or 1000)
+        growth = dev.variance_growth(
+            cfg.kind, cfg.n_max, cfg.block_size or 1000, workers=args.workers
+        )
         _emit(_json_text(growth), cfg.output)
         return 0
     checkpoints = cfg.checkpoints or tuple(_geometric_grid(cfg.n_max))
@@ -270,16 +272,11 @@ def _cmd_deviation(args) -> int:
     if args.trajectory is not None:
         rows = []
         for n, s in zip(series.checkpoints, series.sums):
-            deviation_n = abs(s - n * args.trend_c)
             if args.mode == "counting":
-                ratio = deviation_n / (0.5 * math.sqrt(n) * dev.psi(args.psi, n))
+                ratio = dev.counting_ratio(n, s, args.trend_c, args.psi)
             else:
-                ratio = (
-                    math.log(deviation_n) / ((0.5 + args.xi) * math.log(n))
-                    if n >= 2 and deviation_n >= 1
-                    else float("nan")
-                )
-            rows.append((n, deviation_n, ratio))
+                ratio = dev.exponent_ratio(n, s, args.trend_c, args.xi)
+            rows.append((n, abs(s - n * args.trend_c), float("nan") if ratio is None else ratio))
         _emit(_csv_text("n,deviation,ratio", rows), args.trajectory)
     return 0 if report.passed else 1
 
@@ -298,8 +295,6 @@ def _cmd_oeis_check(args) -> int:
         indices = [i for i in indices if i <= args.n_max]
     if not indices:
         raise ValueError("no usable b-file indices at or below n_max")
-    if indices[-1] > PREFIX_ARRAY_LIMIT:
-        raise ValueError(f"b-file indices exceed the supported scan limit {PREFIX_ARRAY_LIMIT}")
     series = accumulate(kind, indices[-1], indices, workers=args.workers)
     mismatches = oeis.oeis_check(series, bfile)
     result = {

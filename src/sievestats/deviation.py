@@ -93,6 +93,19 @@ def independent_variance_bound(kind: FunctionKind, n: int, **kwargs) -> Variance
     return VarianceBound(n / 4.0, n * p * (1.0 - p), p)
 
 
+def counting_ratio(n: int, s, c: float, psi_spec: PsiSpec | str) -> float:
+    """|S(n) - nC| / (0.5 sqrt(n) Psi(n))."""
+    return abs(s - n * c) / (0.5 * math.sqrt(n) * psi(psi_spec, n))
+
+
+def exponent_ratio(n: int, s, c: float, xi: float) -> float | None:
+    """log|S(n) - nC| / ((1/2 + xi) log n), or None when n < 2 or |S(n) - nC| < 1."""
+    dev = abs(s - n * c)
+    if n < 2 or dev < 1.0:
+        return None
+    return math.log(dev) / ((0.5 + xi) * math.log(n))
+
+
 def counting_deviation_check(
     series: SummationSeries, c: float, psi_spec: PsiSpec | str
 ) -> DeviationReport:
@@ -105,7 +118,7 @@ def counting_deviation_check(
         psi_spec = parse_psi(psi_spec)
     worst, argmax = 0.0, series.checkpoints[0]
     for n, s in zip(series.checkpoints, series.sums):
-        ratio = abs(s - n * c) / (0.5 * math.sqrt(n) * psi(psi_spec, n))
+        ratio = counting_ratio(n, s, c, psi_spec)
         if ratio > worst:
             worst, argmax = ratio, n
     return DeviationReport(
@@ -131,12 +144,10 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
         raise ValueError("xi must be >= 0")
     worst, argmax, skipped = None, 0, 0
     for n, s in zip(series.checkpoints, series.sums):
-        dev = abs(s - n * c)
-        if n < 2 or dev < 1.0:
+        ratio = exponent_ratio(n, s, c, xi)
+        if ratio is None:
             skipped += 1
-            continue
-        ratio = math.log(dev) / ((0.5 + xi) * math.log(n))
-        if worst is None or ratio > worst:
+        elif worst is None or ratio > worst:
             worst, argmax = ratio, n
     if worst is None:
         raise ValueError("all checkpoints skipped (every deviation below 1)")

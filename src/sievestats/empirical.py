@@ -89,7 +89,7 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(table: ValueTable, n: int) -> EmpiricalCdf:
-    if table.kind.tag == "von_mangoldt" and n > VON_MANGOLDT_CDF_LIMIT:
+    if table.kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
         raise ValueError(
             f"exact distribution tables for von_mangoldt are unsupported beyond n={VON_MANGOLDT_CDF_LIMIT}"
         )

@@ -4,26 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Tags that take no parameter.
-SIMPLE_TAGS = (
-    "prime_indicator",
-    "twin_prime_indicator",
-    "squarefree_indicator",
-    "moebius",
-    "liouville",
-    "squarefree_parity_weight",
-    "von_mangoldt",
-)
-
-#: Indicator-valued tags (values in {0, 1}).
-INDICATOR_TAGS = (
-    "prime_indicator",
-    "twin_prime_indicator",
-    "squarefree_indicator",
-    "omega_equals",
-)
-
-#: Value alphabet per tag; None marks the unbounded von Mangoldt values.
+#: Value alphabet per tag, and so the set of known tags; None marks the
+#: unbounded (and only real-valued) von Mangoldt values.
 ALPHABETS = {
     "prime_indicator": (0, 1),
     "twin_prime_indicator": (0, 1),
@@ -53,7 +35,7 @@ class FunctionKind:
         if self.tag == "omega_equals":
             if self.k is None or self.k < 1:
                 raise ValueError("omega_equals requires a prime-factor count k >= 1")
-        elif self.tag in SIMPLE_TAGS:
+        elif self.tag in ALPHABETS:
             if self.k is not None:
                 raise ValueError(f"{self.tag} takes no parameter")
         else:
@@ -66,11 +48,11 @@ class FunctionKind:
 
     @property
     def is_indicator(self) -> bool:
-        return self.tag in INDICATOR_TAGS
+        return self.alphabet() == (0, 1)
 
     @property
     def is_integer_valued(self) -> bool:
-        return self.tag != "von_mangoldt"
+        return self.alphabet() is not None
 
     def alphabet(self) -> tuple[int, ...] | None:
         """Sorted tuple of possible values, or None when unbounded."""

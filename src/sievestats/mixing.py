@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinds import FunctionKind
-from .sieves import ValueTable, sieve_table
+from .sieves import ValueTable
+from .spectral import empirical_autocovariance
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
+
+#: Stationarity report settings: disjoint windows for the position-stability
+#: covariances, and the verdict thresholds described in `stationarity_report`.
+REPORT_WINDOWS = 4
+MEAN_TOLERANCE = 0.01
+COVARIANCE_FACTOR = 3.0
+COVARIANCE_MIN_LAG = 10
 
 EVENT_FAMILY = "single-coordinate value subsets"
 
@@ -61,23 +69,11 @@ def _autocov_int(x: np.ndarray, lags) -> tuple[list[float], float]:
     return out, mean
 
 
-def _autocov_float(x: np.ndarray, lags) -> tuple[list[float], float]:
-    n = len(x)
-    mean = float(x.mean())
-    xc = x - mean
-    out = []
-    for h in lags:
-        if h == 0:
-            out.append(float(np.dot(xc, xc)) / n)
-        else:
-            out.append(float(np.dot(xc[: n - h], xc[h:])) / (n - h))
-    return out, mean
-
-
 def _autocov_values(values: np.ndarray, lags) -> tuple[list[float], float]:
     if np.issubdtype(values.dtype, np.integer):
         return _autocov_int(values.astype(np.int64), lags)
-    return _autocov_float(values.astype(np.float64), lags)
+    x = np.asarray(values, dtype=np.float64)
+    return empirical_autocovariance(x, lags).tolist(), float(x.mean())
 
 
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
@@ -219,32 +215,23 @@ def stationarity_report(
     n: int,
     checkpoints,
     *,
-    lags=None,
-    table: ValueTable | None = None,
-    window_count: int = 4,
-    mean_tolerance: float = 0.01,
-    covariance_factor: float = 3.0,
-    covariance_min_lag: int = 10,
-    segment_size=None,
-    workers: int = 1,
+    table: ValueTable,
 ) -> StationarityReport:
     """Constant-mean, covariance-decay and bounded-variance verdicts for one kind.
 
-    The thresholds are engineering configuration, recorded in the report:
-    the mean passes when the trajectory S(n)/n oscillates by at most
-    mean_tolerance*(1+|C|) over the last half of the checkpoints, and the
-    covariance passes when |r_hat(h)| <= covariance_factor*r_hat(0)/sqrt(n)
-    for every tested lag h >= covariance_min_lag.
+    `table` must cover [1, n].  The thresholds are engineering settings,
+    recorded in the report: the mean passes when the trajectory S(n)/n
+    oscillates by at most MEAN_TOLERANCE*(1+|C|) over the last half of the
+    checkpoints, and the covariance passes when
+    |r_hat(h)| <= COVARIANCE_FACTOR*r_hat(0)/sqrt(n) for every lag
+    h >= COVARIANCE_MIN_LAG among DEFAULT_REPORT_LAGS below n/2.
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be nonempty and strictly increasing")
     if cps[0] < 1 or cps[-1] > n:
         raise ValueError("checkpoints must lie in [1, n]")
-    if table is None:
-        kwargs = {} if segment_size is None else {"segment_size": segment_size}
-        table = sieve_table(kind, 1, n, workers=workers, **kwargs)
-    elif table.kind != kind:
+    if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
     vals = table.prefix(n)
 
@@ -257,18 +244,16 @@ def stationarity_report(
     tail = traj[len(traj) // 2 :]
     tail_osc = max(abs(v - c_limit) for v in tail)
 
-    if lags is None:
-        lags = [h for h in DEFAULT_REPORT_LAGS if h < n / 2]
-    lags = _validate_lags(lags, n, minimum=1)
+    lags = _validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
     r_global, _ = _autocov_values(vals, lags)
     r0 = _autocov_values(vals, [0])[0][0]
 
     # Position stability: covariances recomputed on disjoint windows.
-    window = n // window_count
+    window = n // REPORT_WINDOWS
     stability = 0.0
     if window >= 2:
         win_lags = [h for h in lags if h < window / 2]
-        for w in range(window_count):
+        for w in range(REPORT_WINDOWS):
             seg = vals[w * window : (w + 1) * window]
             r_win, _ = _autocov_values(seg, win_lags)
             for rw, rg in zip(r_win, r_global):
@@ -279,10 +264,10 @@ def stationarity_report(
     observed_bound = float(np.max(np.abs(vals))) if len(vals) else 0.0
     value_bound = float(bound) if bounded else observed_bound
 
-    mean_threshold = mean_tolerance * (1.0 + abs(c_limit))
-    cov_threshold = covariance_factor * r0 / math.sqrt(n)
+    mean_threshold = MEAN_TOLERANCE * (1.0 + abs(c_limit))
+    cov_threshold = COVARIANCE_FACTOR * r0 / math.sqrt(n)
     tested = [
-        (h, r) for h, r in zip(lags, r_global) if h >= covariance_min_lag
+        (h, r) for h, r in zip(lags, r_global) if h >= COVARIANCE_MIN_LAG
     ]
     covariance_verdict = all(abs(r) <= cov_threshold for _, r in tested)
 
@@ -304,6 +289,6 @@ def stationarity_report(
         thresholds={
             "mean_tolerance": mean_threshold,
             "covariance_bound": cov_threshold,
-            "covariance_min_lag": covariance_min_lag,
+            "covariance_min_lag": COVARIANCE_MIN_LAG,
         },
     )

@@ -308,26 +308,22 @@ def oracle_value(kind: FunctionKind, n: int):
         return 1 if _is_prime_slow(n) else 0
     if tag == "twin_prime_indicator":
         return 1 if _is_prime_slow(n) and _is_prime_slow(n + 2) else 0
-    factors = trial_factors(n)
-    omega = len(factors)
-    big_omega = sum(e for _, e in factors)
-    squarefree = omega == big_omega
-    if tag == "squarefree_indicator":
-        return 1 if squarefree else 0
-    if tag == "moebius":
-        if not squarefree:
-            return 0
-        return 1 if omega % 2 == 0 else -1
-    if tag == "liouville":
-        return -1 if big_omega % 2 else 1
-    if tag == "squarefree_parity_weight":
-        if not squarefree:
-            return 0
-        return 2 if omega % 2 == 0 else -1
-    if tag == "omega_equals":
-        return 1 if omega == kind.k else 0
     if tag == "von_mangoldt":
-        return math.log(factors[0][0]) if omega == 1 else 0.0
+        factors = trial_factors(n)
+        return math.log(factors[0][0]) if len(factors) == 1 else 0.0
+    sig = factor_signature(n)
+    if tag == "squarefree_indicator":
+        return 1 if sig.squarefree else 0
+    if tag in ("moebius", "squarefree_parity_weight"):
+        if not sig.squarefree:
+            return 0
+        if sig.omega % 2:
+            return -1
+        return 1 if tag == "moebius" else 2
+    if tag == "liouville":
+        return -1 if sig.big_omega % 2 else 1
+    if tag == "omega_equals":
+        return 1 if sig.omega == kind.k else 0
     raise ValueError(f"unsupported kind: {kind}")
 
 
@@ -336,24 +332,32 @@ def oracle_value(kind: FunctionKind, n: int):
 # ---------------------------------------------------------------------------
 
 
-def write_table_csv(table: ValueTable, path) -> None:
+def table_text(table: ValueTable) -> str:
     """Cache format: header `kind,lo,hi`, then one value per line.
+
+    Integers print exactly, von Mangoldt values with 17 significant digits.
+    """
+    values = table.values.tolist()
+    lines = map(str, values) if table.kind.is_integer_valued else (f"{v:.17g}" for v in values)
+    return f"{table.kind},{table.lo},{table.hi}\n" + "\n".join(lines) + "\n"
+
+
+def write_table_csv(table: ValueTable, path) -> str:
+    """Write `table_text(table)` to `path` and return that text.
 
     Written to a temporary file beside `path` and renamed over it, so a
     write that fails part-way leaves no partial file at `path`.
     """
+    text = table_text(table)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with open(fd, "w", newline="\n") as fh:
-            fh.write(f"{table.kind},{table.lo},{table.hi}\n")
-            if table.kind.is_integer_valued:
-                fh.writelines(f"{int(v)}\n" for v in table.values)
-            else:
-                fh.writelines(f"{float(v):.17g}\n" for v in table.values)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return text
 
 
 def read_table_csv(path) -> ValueTable:

@@ -117,28 +117,12 @@ def prefix_sums(
         raise ValueError(
             f"dense prefix arrays are limited to n_max <= {PREFIX_ARRAY_LIMIT}; use accumulate"
         )
+    dtype = np.int64 if kind.is_integer_valued else np.float64
     chunks = []
-    if kind.is_integer_valued:
-        running = 0
-        for _, _, vals in iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers):
-            prefix = np.cumsum(vals, dtype=np.int64)
-            prefix += running
-            running = int(prefix[-1])
-            chunks.append(prefix)
-    else:
-        running = 0.0
-        for _, _, vals in iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers):
-            prefix = np.cumsum(vals)
-            prefix += running
-            running = float(prefix[-1])
-            chunks.append(prefix)
+    running = 0
+    for _, _, vals in iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers):
+        prefix = np.cumsum(vals, dtype=dtype)
+        prefix += running
+        running = prefix[-1]
+        chunks.append(prefix)
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def write_series_csv(series: SummationSeries, path) -> None:
-    """CSV emission: header `n,S`, one row per checkpoint."""
-    integer = series.kind.is_integer_valued
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,S\n")
-        for n, s in zip(series.checkpoints, series.sums):
-            fh.write(f"{n},{int(s)}\n" if integer else f"{n},{float(s):.17g}\n")

@@ -1,9 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from sievestats import deviation
 from sievestats.cli import RunConfig, run
+from sievestats.kinds import MOEBIUS, parse_kind
+from sievestats.sieves import oracle_value, sieve_table, write_table_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +32,20 @@ def test_table_cache_dir(tmp_path):
     first = out.read_bytes()
     assert run(args) == 0  # second run reads the cache
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("header", ["liouville,1,10", "moebius,2,10", "moebius,1,9"])
+def test_table_cache_refuses_a_mismatched_header(header, tmp_path, capsys):
+    kind, lo, hi = header.split(",")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    write_table_csv(sieve_table(parse_kind(kind), int(lo), int(hi)), cache / "moebius_1_10.csv")
+    out = tmp_path / "t.csv"
+    code = run(["table", "--kind", "moebius", "--lo", "1", "--hi", "10",
+                "--cache-dir", str(cache), "--output", str(out)])
+    assert code == 2
+    assert f"holds {header}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sum_command(tmp_path):
@@ -106,6 +124,26 @@ def test_deviation_command_counting(tmp_path):
     assert traj.read_text().splitlines()[0] == "n,deviation,ratio"
 
 
+def test_deviation_variance_growth_passes_workers(tmp_path, monkeypatch):
+    seen = []
+    real = deviation.variance_growth
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deviation, "variance_growth", spy)
+    outputs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"vg{workers}.json"
+        assert run(["deviation", "--kind", "moebius", "--n-max", "100000",
+                    "--mode", "variance-growth", "--block-size", "1000",
+                    "--workers", workers, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert seen == [2, 1]
+    assert outputs[0] == outputs[1]  # exact sums: the worker count cannot show
+
+
 def test_deviation_command_failing_exit_code(tmp_path):
     out = tmp_path / "dev.json"
     code = run(["deviation", "--kind", "prime_indicator", "--n-max", "100000",
@@ -133,6 +171,21 @@ def test_oeis_check_command(tmp_path):
     assert doc["sequence_id"] == "A002321"
     assert doc["mismatches"] == []
     assert doc["overlap"] == 500
+
+
+def test_oeis_check_index_above_ten_million(tmp_path):
+    c = 20_000_000
+    # Q(c) = sum_{d <= sqrt(c)} mu(d) floor(c / d^2), with mu from the oracle.
+    q = sum(oracle_value(MOEBIUS, d) * (c // (d * d)) for d in range(1, math.isqrt(c) + 1))
+    assert q == 12158575
+    bfile = tmp_path / "squarefree.txt"
+    bfile.write_text(f"1 1\n10 7\n{c} {q}\n")
+    out = tmp_path / "oeis.json"
+    assert run(["oeis-check", "--bfile", str(bfile), "--kind", "squarefree_indicator",
+                "--workers", "2", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mismatches"] == []
+    assert doc["overlap"] == 3
 
 
 def test_oeis_check_detects_mismatch(tmp_path):

@@ -214,7 +214,8 @@ def test_stationarity_prime_covariance_fails(prime_table):
 
 
 def test_stationarity_von_mangoldt_unbounded():
-    report = ss.stationarity_report(ss.VON_MANGOLDT, 10**4, [100, 1000, 10**4])
+    vm = ss.sieve_table(ss.VON_MANGOLDT, 1, 10**4)
+    report = ss.stationarity_report(ss.VON_MANGOLDT, 10**4, [100, 1000, 10**4], table=vm)
     assert not report.variance_verdict
     assert not report.bounded
     assert report.value_bound == pytest.approx(math.log(9973))  # largest prime <= 1e4
@@ -231,7 +232,8 @@ def test_stationarity_thresholds_recorded(mu_table):
 
 
 def test_stationarity_checkpoint_validation():
+    mu = ss.sieve_table(ss.MOEBIUS, 1, 100)
     with pytest.raises(ValueError, match="strictly increasing"):
-        ss.stationarity_report(ss.MOEBIUS, 100, [50, 50])
+        ss.stationarity_report(ss.MOEBIUS, 100, [50, 50], table=mu)
     with pytest.raises(ValueError, match=r"\[1, n\]"):
-        ss.stationarity_report(ss.MOEBIUS, 100, [50, 200])
+        ss.stationarity_report(ss.MOEBIUS, 100, [50, 200], table=mu)

@@ -1,5 +1,6 @@
 import math
-import types
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,25 +188,26 @@ def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):
         read_table_csv(path)
 
 
-def test_csv_cache_failed_write_leaves_no_file(tmp_path):
-    def values():
-        yield from (1, -1, 0)
-        raise OSError("disk full")
+def _failing_rename(src, dst):
+    assert Path(src).stat().st_size > 0  # fails after the temp file is written
+    raise OSError("disk full")
 
-    table = types.SimpleNamespace(kind=ss.MOEBIUS, lo=1, hi=5, values=values())
+
+def test_csv_cache_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "replace", _failing_rename)
     path = tmp_path / "partial.csv"
     with pytest.raises(OSError, match="disk full"):
-        write_table_csv(table, path)
+        write_table_csv(sieve_table(ss.MOEBIUS, 1, 5), path)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_csv_cache_failed_write_keeps_the_previous_file(tmp_path):
+def test_csv_cache_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "cache.csv"
     write_table_csv(sieve_table(ss.MOEBIUS, 1, 5), path)
     before = path.read_bytes()
-    table = types.SimpleNamespace(kind=ss.MOEBIUS, lo=1, hi=5, values=iter([1, "x"]))
-    with pytest.raises(ValueError):
-        write_table_csv(table, path)
+    monkeypatch.setattr(os, "replace", _failing_rename)
+    with pytest.raises(OSError, match="disk full"):
+        write_table_csv(sieve_table(ss.MOEBIUS, 1, 10), path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

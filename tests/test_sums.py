@@ -5,7 +5,7 @@ import pytest
 
 import sievestats as ss
 from sievestats.sieves import oracle_value
-from sievestats.sums import prefix_sums, write_series_csv
+from sievestats.sums import prefix_sums
 
 
 def oracle_prefix(kind, n):
@@ -115,10 +115,3 @@ def test_squarefree_sqrt_deviation_bounded_to_1e7():
     constant = float(ratios.max())
     print(f"observed sup |Q(n) - 6n/pi^2|/sqrt(n) on [1e2, 1e7]: {constant:.4f}")
     assert constant <= 2.0
-
-
-def test_series_csv_emission(tmp_path):
-    series = ss.accumulate(ss.MOEBIUS, 10, [1, 2, 10])
-    path = tmp_path / "series.csv"
-    write_series_csv(series, path)
-    assert path.read_text() == "n,S\n1,1\n2,0\n10,-1\n"

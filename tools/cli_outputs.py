@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of 55 CLI commands at n = 10^6 and keep every output.
+
+The matrix covers all 8 kinds with table, sum, stats, dependence (with the
+stationarity report) and normality (with the blocks CSV); the counting,
+exponent and variance-growth deviation modes (with trajectories where the
+mode has one); riemann-check; ergodic; oeis-check on both vendored b-files;
+and a table cache miss followed by a hit.  Each command writes its outputs
+under OUTDIR, and `exit_codes.txt` records every exit status and error line,
+so running this on two checkouts and comparing
+
+    python3 tools/cli_outputs.py /tmp/before   # on the old checkout
+    python3 tools/cli_outputs.py /tmp/after    # on the new checkout
+    diff -r /tmp/before /tmp/after
+
+checks that a change leaves every output byte-identical.  Commands run in
+this process against the checkout's own `src/`.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sievestats.cli import run  # noqa: E402
+
+N = 10**6
+KINDS = (
+    "prime_indicator",
+    "twin_prime_indicator",
+    "squarefree_indicator",
+    "moebius",
+    "liouville",
+    "squarefree_parity_weight",
+    "omega_equals:2",
+    "von_mangoldt",
+)
+CHECKPOINTS = "1,2,3,10,97,100,1000,4099,10000,65536,100000,524287,1000000"
+
+
+def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) for every command; each name is also its output file stem."""
+    n = str(N)
+    cmds = []
+    for kind in KINDS:
+        tag = kind.replace(":", "_")
+        cmds += [
+            (f"table_{tag}", ["table", "--kind", kind, "--lo", "1", "--hi", n]),
+            (f"sum_{tag}", ["sum", "--kind", kind, "--n-max", n, "--checkpoints", CHECKPOINTS]),
+            (f"stats_{tag}", ["stats", "--kind", kind, "--n", n]),
+            (f"dependence_{tag}", ["dependence", "--kind", kind, "--n", n, "--workers", "2",
+                                   "--report", str(out / f"dependence_{tag}.report.json")]),
+            (f"normality_{tag}", ["normality", "--kind", kind, "--n", n,
+                                  "--blocks-csv", str(out / f"normality_{tag}.blocks.csv")]),
+        ]
+    deviation = [
+        ("counting", "prime_indicator", ["--trend-c", "0.0725", "--psi", "log"]),
+        ("counting", "twin_prime_indicator", ["--trend-c", "0.0", "--psi", "loglog"]),
+        ("counting", "squarefree_indicator", ["--trend-c", "0.6079271018540267"]),
+        ("counting", "omega_equals:2", ["--trend-c", "0.3", "--psi", "const:5"]),
+        ("exponent", "moebius", ["--xi", "0.0"]),
+        ("exponent", "liouville", ["--xi", "0.05"]),
+        ("exponent", "von_mangoldt", ["--trend-c", "1.0", "--xi", "0.0"]),
+    ]
+    for mode, kind, extra in deviation:
+        name = f"deviation_{mode}_{kind.replace(':', '_')}"
+        cmds.append((name, ["deviation", "--kind", kind, "--n-max", n, "--mode", mode, *extra,
+                            "--trajectory", str(out / f"{name}.trajectory.csv")]))
+    cmds += [
+        ("deviation_variance-growth_moebius",
+         ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "variance-growth",
+          "--block-size", "1000", "--workers", "2"]),
+        ("riemann-check_xi0", ["riemann-check", "--n-max", n]),
+        ("riemann-check_xi0.1", ["riemann-check", "--n-max", n, "--xi", "0.1", "--workers", "2"]),
+        ("ergodic", ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5", "--n", "100000",
+                     "--seed", "7", "--replicates", "100", "--n-list", "10,100,1000,10000",
+                     "--mse-output", str(out / "ergodic.mse.csv"),
+                     "--autocov-output", str(out / "ergodic.autocov.csv")]),
+        ("oeis-check_mertens", ["oeis-check", "--bfile", str(ROOT / "tests/data/b002321.txt"),
+                                "--kind", "moebius"]),
+        ("oeis-check_squarefree", ["oeis-check", "--kind", "squarefree_indicator",
+                                   "--bfile", str(ROOT / "tests/data/squarefree_count.txt")]),
+    ]
+    cache = ["table", "--kind", "moebius", "--lo", str(N - 99_999), "--hi", n,
+             "--workers", "2", "--cache-dir", str(out / "cache")]
+    cmds += [("table_cache_miss", cache), ("table_cache_hit", cache)]
+    return cmds
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: cli_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    out = pathlib.Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, args in matrix(out):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run([*args, "--output", str(out / f"{name}.out")])
+        lines.append(f"{name} {code} {stderr.getvalue().strip()}".rstrip())
+    (out / "exit_codes.txt").write_text("\n".join(lines) + "\n")
+    print(f"{len(lines)} commands, outputs in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
