@@ -165,6 +165,7 @@ def _cmd_sum(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = RunConfig(kind=parse_kind(args.kind), n_max=args.n, output=args.output)
+    empirical.check_cdf_range(cfg.kind, cfg.n_max)
     table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
     mom = empirical.moments(table, cfg.n_max)
     cdf = empirical.empirical_cdf(table, cfg.n_max)
@@ -179,6 +180,7 @@ def _cmd_dependence(args) -> int:
         lags=_parse_int_list(args.lags),
         output=args.output,
     )
+    mixing.validate_lags(cfg.lags, cfg.n_max)
     table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
     cov = mixing.autocovariance(table, cfg.n_max, cfg.lags)
     rows: list[tuple] = []
@@ -206,6 +208,7 @@ def _cmd_normality(args) -> int:
         kind=parse_kind(args.kind), n_max=args.n, block_size=args.block_size,
         output=args.output,
     )
+    normality.block_count(cfg.n_max, cfg.block_size)
     table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
     blocks = normality.block_standardize(table, cfg.n_max, cfg.block_size)
     report = normality.report_from_blocks(str(cfg.kind), cfg.n_max, blocks)

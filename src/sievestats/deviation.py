@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
+from .normality import block_count
 from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments
 from .sums import SummationSeries, accumulate
 
@@ -253,11 +254,7 @@ def variance_growth(
 
     Near-linear variance growth shows up as a log-log slope near zero.
     """
-    if block_size < 100:
-        raise ValueError("block size must be >= 100")
-    count = n_max // block_size
-    if count < 30:
-        raise ValueError(f"too few blocks ({count}); need >= 30")
+    count = block_count(n_max, block_size)
     cps = [block_size * (i + 1) for i in range(count)]
     series = accumulate(kind, cps[-1], cps, **kwargs)
     sums = np.array(series.sums, dtype=np.float64)

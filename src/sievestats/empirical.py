@@ -88,11 +88,16 @@ class EmpiricalCdf:
         return self.cdf_below[idx]
 
 
-def empirical_cdf(table: ValueTable, n: int) -> EmpiricalCdf:
-    if table.kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
+def check_cdf_range(kind: FunctionKind, n: int) -> None:
+    """Refuse n above VON_MANGOLDT_CDF_LIMIT for the real-valued kind."""
+    if kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
         raise ValueError(
             f"exact distribution tables for von_mangoldt are unsupported beyond n={VON_MANGOLDT_CDF_LIMIT}"
         )
+
+
+def empirical_cdf(table: ValueTable, n: int) -> EmpiricalCdf:
+    check_cdf_range(table.kind, n)
     vals = table.prefix(n)
     uniq, counts = np.unique(vals, return_counts=True)
     cum = np.concatenate(([0], np.cumsum(counts)))

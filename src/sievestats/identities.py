@@ -1,0 +1,150 @@
+"""Exact prefix sums at sparse checkpoints from floor-quotient identities.
+
+Five kinds have a summation function that an identity gives without sieving
+[1, c] (V(c) is the set of floor quotients c // k, k >= 1):
+
+* pi(c), the prime count, by the Legendre / floor-quotient recursion over
+  V(c) (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985), in O(c^(3/4)).
+* Q(c) = sum_{d <= sqrt c} mu(d) * (c // d^2), the squarefree count.
+* M(c) from sum_{k <= c} M(c // k) = 1 (Deleglise & Rivat, Exp. Math. 5,
+  1996): mu and M are sieved once to u >= max(c)^(2/3), and M at the
+  quotients above u follows from the recursion, in O(c^(2/3)).
+* L(c) = sum_{d <= sqrt c} M(c // d^2), since lambda(n) = sum_{d^2 | n} mu(n/d^2).
+  Every c // d^2 is at most u or a quotient c // j with j = d^2, so the
+  same M values serve.
+* W(c) = (3 M(c) + Q(c)) / 2 for the squarefree parity weight, which is
+  (3 mu + mu^2) / 2 pointwise.
+
+Twin primes, omega_equals and von Mangoldt have no such identity here and
+are always sieved.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .kinds import MOEBIUS, FunctionKind
+from .sieves import DEFAULT_SEGMENT_SIZE, sieve_table
+
+IDENTITY_TAGS = frozenset(
+    {"prime_indicator", "squarefree_indicator", "moebius", "liouville", "squarefree_parity_weight"}
+)
+
+
+def prefers_identities(kind: FunctionKind, cps: list[int], n_max: int) -> bool:
+    """The cost model that routes `sums.accumulate`.
+
+    Sieving costs about n_max values.  The identities cost at most about
+    c^(3/4) steps per checkpoint c (the prime recursion; the others are
+    cheaper), so they are taken when len(cps) * max(cps)^(3/4) <= n_max.
+    """
+    return kind.tag in IDENTITY_TAGS and len(cps) * cps[-1] ** 0.75 <= n_max
+
+
+class _MoebiusTable:
+    """mu(0..u) and M(0..u) from one moebius sieve, with mu(0) = M(0) = 0."""
+
+    def __init__(self, u: int, **sieve):
+        mu = np.zeros(u + 1, dtype=np.int8)
+        mu[1:] = sieve_table(MOEBIUS, 1, u, **sieve).values
+        self.u = u
+        self.mu = mu
+        self.m = np.cumsum(mu, dtype=np.int32)
+
+    def squarefree_count(self, c: int) -> int:
+        d = np.arange(1, math.isqrt(c) + 1, dtype=np.int64)
+        return int((self.mu[1 : len(d) + 1] * (c // (d * d))).sum())
+
+    def quotient_mertens(self, c: int) -> np.ndarray:
+        """big[j] = M(c // j) for 1 <= j <= J = c // (u + 1), the quotients above u."""
+        u, m = self.u, self.m
+        count = c // (u + 1)
+        big = np.zeros(count + 1, dtype=np.int64)
+        for j in range(count, 0, -1):
+            x = c // j
+            s = math.isqrt(x)
+            # sum_{2 <= d <= s} M(x // d): quotient j*d while it is still above u.
+            split = min(s, count // j)
+            total = int(big[2 * j : split * j + 1 : j].sum())
+            d = np.arange(split + 1, s + 1, dtype=np.int64)
+            total += int(m[x // d].sum(dtype=np.int64))
+            # sum_{d > s} M(x // d), grouped by the quotient q = x // d <= x // (s + 1).
+            q = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
+            total += int(((x // q - x // (q + 1)) * m[q]).sum())
+            big[j] = 1 - total
+        return big
+
+    def mertens(self, c: int, big: np.ndarray) -> int:
+        return int(self.m[c]) if c <= self.u else int(big[1])
+
+    def liouville(self, c: int, big: np.ndarray) -> int:
+        d = np.arange(1, math.isqrt(c) + 1, dtype=np.int64)
+        squares = d * d
+        above = squares < len(big)  # c // d^2 > u exactly when d^2 <= J
+        return int(big[squares[above]].sum() + self.m[c // squares[~above]].sum(dtype=np.int64))
+
+
+def prime_count(c: int) -> int:
+    """pi(c) by the floor-quotient recursion.
+
+    S(v) counts the integers in [2, v] left after sieving by the primes below
+    p; for each prime p <= sqrt(c), S(v) -= S(v // p) - S(p - 1) for every v
+    in V(c) with v >= p^2.  `small[v]` holds S(v) for v <= r = isqrt(c) and
+    `large[k]` holds S(c // k) for k <= r; v // p of v = c // k is c // (k p).
+    """
+    if c < 2:
+        return 0
+    r = math.isqrt(c)
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    k = np.arange(1, r + 1, dtype=np.int64)
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = c // k - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue
+        below = int(small[p - 1])
+        p2 = p * p
+        kmax = min(r, c // p2)
+        inner = min(kmax, r // p)
+        large[1 : inner + 1] -= large[p : inner * p + 1 : p] - below
+        if kmax > inner:
+            ks = k[inner:kmax]
+            large[inner + 1 : kmax + 1] -= small[c // (ks * p)] - below
+        if p2 <= r:
+            small[p2:] -= small[np.arange(p2, r + 1) // p] - below
+    return int(large[1])
+
+
+def identity_sums(
+    kind: FunctionKind,
+    cps: list[int],
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    workers: int = 1,
+) -> list[int]:
+    """S(c) for each checkpoint c of a kind in IDENTITY_TAGS.
+
+    `segment_size` and `workers` are passed to the moebius sieve to u.
+    """
+    if kind.tag not in IDENTITY_TAGS:
+        raise ValueError(f"no prefix-sum identity for {kind}")
+    if kind.tag == "prime_indicator":
+        return [prime_count(c) for c in cps]
+    u = math.isqrt(cps[-1])
+    if kind.tag != "squarefree_indicator":
+        u = max(u, round(cps[-1] ** (2 / 3)))
+    table = _MoebiusTable(u, segment_size=segment_size, workers=workers)
+    if kind.tag == "squarefree_indicator":
+        return [table.squarefree_count(c) for c in cps]
+    out = []
+    for c in cps:
+        big = table.quotient_mertens(c)
+        if kind.tag == "liouville":
+            out.append(table.liouville(c, big))
+        else:
+            m = table.mertens(c, big)
+            out.append(m if kind.tag == "moebius" else (3 * m + table.squarefree_count(c)) // 2)
+    return out

@@ -37,7 +37,7 @@ class CovarianceSequence:
     mean_used: float
 
 
-def _validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
+def validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
     out = [int(h) for h in lags]
     if not out:
         raise ValueError("at least one lag is required")
@@ -78,7 +78,7 @@ def _autocov_values(values: np.ndarray, lags) -> tuple[list[float], float]:
 
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
-    lags = _validate_lags(lags, n, minimum=0)
+    lags = validate_lags(lags, n, minimum=0)
     vals = table.prefix(n)
     r_hat, mean = _autocov_values(vals, lags)
     return CovarianceSequence(n, tuple(lags), tuple(r_hat), mean)
@@ -131,7 +131,7 @@ def alpha_hat_values(values: np.ndarray, alphabet, lags) -> MixingEstimate:
     """Strong-mixing estimate for a raw value sequence over a finite alphabet."""
     values = np.asarray(values)
     n = len(values)
-    lags = _validate_lags(lags, n, minimum=1)
+    lags = validate_lags(lags, n, minimum=1)
     alphabet = np.asarray(sorted(alphabet))
     size = len(alphabet)
     if size > 8:
@@ -244,7 +244,7 @@ def stationarity_report(
     tail = traj[len(traj) // 2 :]
     tail_osc = max(abs(v - c_limit) for v in tail)
 
-    lags = _validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
+    lags = validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
     r_global, _ = _autocov_values(vals, lags)
     r0 = _autocov_values(vals, [0])[0][0]
 

@@ -62,14 +62,20 @@ class BlockSample:
     sample_sd: float
 
 
-def standardize_blocks(values: np.ndarray, block_size: int) -> BlockSample:
-    """Disjoint block sums T_j and their studentized values (T_j - mean)/sd."""
+def block_count(n: int, block_size: int) -> int:
+    """Number of disjoint blocks in [1, n]; refuses blocks below 100 or fewer than 30 blocks."""
     if block_size < 100:
         raise ValueError("block size must be >= 100")
-    values = np.asarray(values)
-    count = len(values) // block_size
+    count = n // block_size
     if count < 30:
         raise ValueError(f"too few blocks ({count}); need >= 30")
+    return count
+
+
+def standardize_blocks(values: np.ndarray, block_size: int) -> BlockSample:
+    """Disjoint block sums T_j and their studentized values (T_j - mean)/sd."""
+    values = np.asarray(values)
+    count = block_count(len(values), block_size)
     trimmed = values[: count * block_size].reshape(count, block_size)
     if np.issubdtype(values.dtype, np.integer):
         sums = trimmed.sum(axis=1, dtype=np.int64).astype(np.float64)

@@ -196,6 +196,18 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     raise ValueError(f"unsupported kind: {kind}")
 
 
+def validate_range(lo: int, hi: int, *, segment_size: int, max_hi: int) -> None:
+    """Raise ValueError for a range or setting that `iter_segments` refuses."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid range [{lo}, {hi}]")
+    if hi > max_hi:
+        raise ValueError(f"hi={hi} exceeds the configured maximum {max_hi}")
+    if max_hi > SIGNATURE_MAX_HI:
+        raise ValueError(f"max_hi={max_hi} exceeds the uint8 signature bound {SIGNATURE_MAX_HI}")
+    if segment_size < 1:
+        raise ValueError("segment_size must be positive")
+
+
 def iter_segments(
     kind: FunctionKind,
     lo: int,
@@ -211,14 +223,7 @@ def iter_segments(
     prefetch window, but they are still yielded in range order, so consumers
     see the same stream regardless of scheduling.
     """
-    if not 1 <= lo <= hi:
-        raise ValueError(f"invalid range [{lo}, {hi}]")
-    if hi > max_hi:
-        raise ValueError(f"hi={hi} exceeds the configured maximum {max_hi}")
-    if max_hi > SIGNATURE_MAX_HI:
-        raise ValueError(f"max_hi={max_hi} exceeds the uint8 signature bound {SIGNATURE_MAX_HI}")
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
+    validate_range(lo, hi, segment_size=segment_size, max_hi=max_hi)
     primes = base_primes(math.isqrt(hi + 2))  # +2 covers the twin lookahead
     bounds = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
     if workers <= 1 or len(bounds) == 1:
@@ -336,9 +341,15 @@ def table_text(table: ValueTable) -> str:
     """Cache format: header `kind,lo,hi`, then one value per line.
 
     Integers print exactly, von Mangoldt values with 17 significant digits.
+    Integer kinds look each value up among one string per alphabet value,
+    so no str is made per value.
     """
     values = table.values.tolist()
-    lines = map(str, values) if table.kind.is_integer_valued else (f"{v:.17g}" for v in values)
+    alphabet = table.kind.alphabet()
+    if alphabet is None:
+        lines = (f"{v:.17g}" for v in values)
+    else:
+        lines = map({v: str(v) for v in alphabet}.__getitem__, values)
     return f"{table.kind},{table.lo},{table.hi}\n" + "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_MAX_HI, DEFAULT_SEGMENT_SIZE, iter_segments
+from .sieves import DEFAULT_MAX_HI, DEFAULT_SEGMENT_SIZE, iter_segments, validate_range
 
 #: Dense prefix arrays are only materialized below this size.
 PREFIX_ARRAY_LIMIT = 10**7
@@ -55,17 +56,33 @@ def accumulate(
     workers: int = 1,
     max_hi: int = DEFAULT_MAX_HI,
 ) -> SummationSeries:
-    """Exact S(c) for every checkpoint c, in one streaming pass over [1, n_max].
+    """Exact S(c) for every checkpoint c.
+
+    Sparse checkpoints of the kinds in `identities.IDENTITY_TAGS` come from
+    exact floor-quotient identities (routed by
+    `identities.prefers_identities`); everything else from one streaming
+    sieve pass over [1, n_max].  Both routes refuse the same inputs.
+    """
+    cps = _validate_checkpoints(checkpoints, n_max)
+    validate_range(1, n_max, segment_size=segment_size, max_hi=max_hi)
+    if prefers_identities(kind, cps, n_max):
+        sums = identity_sums(kind, cps, segment_size=segment_size, workers=workers)
+    else:
+        segments = iter_segments(
+            kind, 1, n_max, segment_size=segment_size, workers=workers, max_hi=max_hi
+        )
+        sums = _sieved_sums(kind, cps, segments)
+    return SummationSeries(kind, tuple(cps), tuple(sums))
+
+
+def _sieved_sums(kind: FunctionKind, cps: list[int], segments) -> list:
+    """S(c) at each checkpoint from an ascending stream of sieved segments.
 
     Integer kinds accumulate in arbitrary-precision integers (int64 inside a
     segment never overflows: |f| <= 2 and segments hold < 2^21 values).
     von Mangoldt sums use pairwise summation inside segments and Kahan
     compensation across them.
     """
-    cps = _validate_checkpoints(checkpoints, n_max)
-    segments = iter_segments(
-        kind, 1, n_max, segment_size=segment_size, workers=workers, max_hi=max_hi
-    )
     sums: list = []
     idx = 0
     if kind.is_integer_valued:
@@ -79,7 +96,7 @@ def accumulate(
                 running += int(prefix[-1])
             else:
                 running += int(vals.sum(dtype=np.int64))
-        return SummationSeries(kind, tuple(cps), tuple(sums))
+        return sums
 
     total, comp = 0.0, 0.0
     for lo, hi, vals in segments:
@@ -95,7 +112,7 @@ def accumulate(
         t = total + y
         comp = (t - total) - y
         total = t
-    return SummationSeries(kind, tuple(cps), tuple(sums))
+    return sums
 
 
 def mertens(n: int, **kwargs) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sievestats import deviation
+from sievestats import cli, deviation
 from sievestats.cli import RunConfig, run
 from sievestats.kinds import MOEBIUS, parse_kind
 from sievestats.sieves import oracle_value, sieve_table, write_table_csv
@@ -53,6 +53,33 @@ def test_sum_command(tmp_path):
     assert run(["sum", "--kind", "moebius", "--n-max", "10",
                 "--checkpoints", "1,2,10", "--output", str(out)]) == 0
     assert out.read_text() == "n,S\n1,1\n2,0\n10,-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stats", "--kind", "von_mangoldt", "--n", "20000000"],
+         "exact distribution tables for von_mangoldt are unsupported beyond n=10000000"),
+        (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "3,2"],
+         "lags must be strictly increasing"),
+        (["dependence", "--kind", "liouville", "--n", "1000", "--lags", "1,500"],
+         "max lag 500 must be below n/2 = 500.0"),
+        (["normality", "--kind", "moebius", "--n", "20000000", "--block-size", "10000000"],
+         "too few blocks (2); need >= 30"),
+        (["normality", "--kind", "moebius", "--n", "100000", "--block-size", "99"],
+         "block size must be >= 100"),
+    ],
+    ids=["stats-cdf-limit", "dependence-order", "dependence-max-lag", "normality-count",
+         "normality-size"],
+)
+def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(cli, "sieve_table", no_sieve)
+    assert run([*argv, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_stats_command(tmp_path):

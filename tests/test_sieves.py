@@ -17,6 +17,7 @@ from sievestats.sieves import (
     oracle_value,
     read_table_csv,
     sieve_table,
+    table_text,
     trial_factors,
     write_table_csv,
 )
@@ -179,6 +180,13 @@ def test_csv_cache_header_line(tmp_path):
     path = tmp_path / "omega.csv"
     write_table_csv(table, path)
     assert path.read_text().splitlines()[0] == "omega_equals:3,1,5"
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.is_integer_valued], ids=str)
+def test_table_text_renders_integers_as_str(kind):
+    table = sieve_table(kind, 10**6 - 2000, 10**6)
+    body = "\n".join(map(str, table.values.tolist()))
+    assert table_text(table) == f"{kind},{10**6 - 2000},{10**6}\n{body}\n"
 
 
 def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 55 CLI commands at n = 10^6 and keep every output.
+"""Run a fixed matrix of 60 CLI commands and keep every output.
 
-The matrix covers all 8 kinds with table, sum, stats, dependence (with the
-stationarity report) and normality (with the blocks CSV); the counting,
-exponent and variance-growth deviation modes (with trajectories where the
-mode has one); riemann-check; ergodic; oeis-check on both vendored b-files;
-and a table cache miss followed by a hit.  Each command writes its outputs
-under OUTDIR, and `exit_codes.txt` records every exit status and error line,
-so running this on two checkouts and comparing
+The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
+(with the stationarity report) and normality (with the blocks CSV); `sum` at
+sparse checkpoints to 2*10^7 for the 5 kinds with prefix-sum identities; the
+counting, exponent and variance-growth deviation modes (with trajectories
+where the mode has one); riemann-check; ergodic; oeis-check on both vendored
+b-files; and a table cache miss followed by a hit.  Each command writes its
+outputs under OUTDIR, and `exit_codes.txt` records every exit status and
+error line, so running this on two checkouts and comparing
 
     python3 tools/cli_outputs.py /tmp/before   # on the old checkout
     python3 tools/cli_outputs.py /tmp/after    # on the new checkout
@@ -39,6 +40,16 @@ KINDS = (
     "von_mangoldt",
 )
 CHECKPOINTS = "1,2,3,10,97,100,1000,4099,10000,65536,100000,524287,1000000"
+#: Few enough checkpoints to 2*10^7 that `accumulate` takes the identities.
+SPARSE_N = 20_000_000
+SPARSE_KINDS = (
+    "prime_indicator",
+    "squarefree_indicator",
+    "moebius",
+    "liouville",
+    "squarefree_parity_weight",
+)
+SPARSE_CHECKPOINTS = "1,2,10,1000,65536,1000000,4194304,10000000,19999999,20000000"
 
 
 def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
@@ -56,6 +67,9 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
             (f"normality_{tag}", ["normality", "--kind", kind, "--n", n,
                                   "--blocks-csv", str(out / f"normality_{tag}.blocks.csv")]),
         ]
+    for kind in SPARSE_KINDS:
+        cmds.append((f"sum_sparse_{kind}", ["sum", "--kind", kind, "--n-max", str(SPARSE_N),
+                                            "--checkpoints", SPARSE_CHECKPOINTS]))
     deviation = [
         ("counting", "prime_indicator", ["--trend-c", "0.0725", "--psi", "log"]),
         ("counting", "twin_prime_indicator", ["--trend-c", "0.0", "--psi", "loglog"]),
