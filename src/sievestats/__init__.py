@@ -15,7 +15,6 @@ from .deviation import (
     VarianceGrowth,
     counting_deviation_check,
     exponent_check,
-    independent_variance_bound,
     mertens_riemann_check,
     psi,
     variance_growth,
@@ -38,7 +37,6 @@ from .mixing import (
     MixingEstimate,
     StationarityReport,
     alpha_hat,
-    alpha_summability,
     autocovariance,
     independence_gap,
     stationarity_report,
@@ -64,7 +62,6 @@ from .spectral import (
     MovingAverageSpec,
     SpectralRealization,
     SpectralSpec,
-    arithmetic_ergodic_check,
     covariance_average,
     ergodic_average,
     ma_theoretical_covariance,
@@ -104,8 +101,6 @@ __all__ = [
     "VarianceGrowth",
     "accumulate",
     "alpha_hat",
-    "alpha_summability",
-    "arithmetic_ergodic_check",
     "autocovariance",
     "binomial_variance",
     "block_standardize",
@@ -117,7 +112,6 @@ __all__ = [
     "exponent_check",
     "factor_signature",
     "independence_gap",
-    "independent_variance_bound",
     "ks_normal",
     "ma_theoretical_covariance",
     "mertens",

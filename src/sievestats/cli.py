@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,32 +21,7 @@ from . import deviation as dev
 from . import empirical, mixing, normality, oeis, spectral
 from .kinds import FunctionKind, parse_kind
 from .sieves import read_table_csv, sieve_table, table_text, write_table_csv
-from .sums import accumulate
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the numeric options shared by the subcommands."""
-
-    kind: FunctionKind | None = None
-    n_max: int | None = None
-    checkpoints: tuple[int, ...] = ()
-    block_size: int | None = None
-    lags: tuple[int, ...] = ()
-    output: str = "-"
-    cache_dir: str | None = None
-
-    def __post_init__(self):
-        for name in ("n_max", "block_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive")
-        if any(c < 1 for c in self.checkpoints):
-            raise ValueError("checkpoints must be positive")
-        if any(h < 1 for h in self.lags):
-            raise ValueError("lags must be positive")
-        if self.n_max is not None and self.checkpoints and max(self.checkpoints) > self.n_max:
-            raise ValueError("checkpoints must not exceed n_max")
+from .sums import accumulate, validate_checkpoints
 
 
 def _fmt(value) -> str:
@@ -118,8 +92,9 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
-    grid = np.unique(np.geomspace(1, n_max, points).astype(np.int64))
-    return [int(v) for v in grid]
+    """Geometrically spaced checkpoints in [1, n_max]; an n_max below 1 is refused by name."""
+    grid = np.unique(np.geomspace(1, max(n_max, 1), points).astype(np.int64))
+    return validate_checkpoints(grid, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -128,91 +103,77 @@ def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
 
 
 def _cmd_table(args) -> int:
-    cfg = RunConfig(kind=parse_kind(args.kind), output=args.output, cache_dir=args.cache_dir)
-    if cfg.cache_dir is None:
-        table = sieve_table(cfg.kind, args.lo, args.hi, workers=args.workers)
-        _emit(table_text(table), cfg.output)
+    kind = parse_kind(args.kind)
+    if args.cache_dir is None:
+        table = sieve_table(kind, args.lo, args.hi, workers=args.workers)
+        _emit(table_text(table), args.output)
         return 0
-    cache = Path(cfg.cache_dir) / f"{cfg.kind}_{args.lo}_{args.hi}.csv"
+    cache = Path(args.cache_dir) / f"{kind}_{args.lo}_{args.hi}.csv"
     if cache.exists():
         table = read_table_csv(cache)
-        if (table.kind, table.lo, table.hi) != (cfg.kind, args.lo, args.hi):
+        if (table.kind, table.lo, table.hi) != (kind, args.lo, args.hi):
             raise ValueError(
                 f"cache file {cache} holds {table.kind},{table.lo},{table.hi},"
-                f" not {cfg.kind},{args.lo},{args.hi}"
+                f" not {kind},{args.lo},{args.hi}"
             )
         text = table_text(table)
     else:
-        table = sieve_table(cfg.kind, args.lo, args.hi, workers=args.workers)
+        table = sieve_table(kind, args.lo, args.hi, workers=args.workers)
         cache.parent.mkdir(parents=True, exist_ok=True)
         text = write_table_csv(table, cache)
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return 0
 
 
 def _cmd_sum(args) -> int:
-    cfg = RunConfig(
-        kind=parse_kind(args.kind),
-        n_max=args.n_max,
-        checkpoints=_parse_int_list(args.checkpoints),
-        output=args.output,
-    )
-    series = accumulate(cfg.kind, cfg.n_max, cfg.checkpoints, workers=args.workers)
+    kind = parse_kind(args.kind)
+    series = accumulate(kind, args.n_max, _parse_int_list(args.checkpoints), workers=args.workers)
     rows = list(zip(series.checkpoints, series.sums))
-    _emit(_csv_text("n,S", rows), cfg.output)
+    _emit(_csv_text("n,S", rows), args.output)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    cfg = RunConfig(kind=parse_kind(args.kind), n_max=args.n, output=args.output)
-    empirical.check_cdf_range(cfg.kind, cfg.n_max)
-    table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
-    mom = empirical.moments(table, cfg.n_max)
-    cdf = empirical.empirical_cdf(table, cfg.n_max)
-    _emit(_json_text({"cdf": cdf, "moments": mom}), cfg.output)
+    kind = parse_kind(args.kind)
+    empirical.check_cdf_range(kind, args.n)
+    table = sieve_table(kind, 1, args.n, workers=args.workers)
+    mom = empirical.moments(table, args.n)
+    cdf = empirical.empirical_cdf(table, args.n)
+    _emit(_json_text({"cdf": cdf, "moments": mom}), args.output)
     return 0
 
 
 def _cmd_dependence(args) -> int:
-    cfg = RunConfig(
-        kind=parse_kind(args.kind),
-        n_max=args.n,
-        lags=_parse_int_list(args.lags),
-        output=args.output,
-    )
-    mixing.validate_lags(cfg.lags, cfg.n_max)
-    table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
-    cov = mixing.autocovariance(table, cfg.n_max, cfg.lags)
+    kind = parse_kind(args.kind)
+    lags = mixing.validate_lags(_parse_int_list(args.lags), args.n, minimum=1)
+    if args.report is not None:
+        checkpoints = (
+            validate_checkpoints(_parse_int_list(args.checkpoints), args.n)
+            if args.checkpoints
+            else _geometric_grid(args.n)
+        )
+    table = sieve_table(kind, 1, args.n, workers=args.workers)
+    cov = mixing.autocovariance(table, args.n, lags)
     rows: list[tuple] = []
-    if cfg.kind.alphabet() is not None:
-        est = mixing.alpha_hat(table, cfg.n_max, cfg.lags)
+    if kind.alphabet() is not None:
+        est = mixing.alpha_hat(table, args.n, lags)
         rows = list(zip(cov.lags, cov.r_hat, est.alpha_hat))
     else:
         rows = [(h, r, float("nan")) for h, r in zip(cov.lags, cov.r_hat)]
-    _emit(_csv_text("lag,r_hat,alpha_hat", rows), cfg.output)
+    _emit(_csv_text("lag,r_hat,alpha_hat", rows), args.output)
     if args.report is not None:
-        checkpoints = (
-            _parse_int_list(args.checkpoints)
-            if args.checkpoints
-            else _geometric_grid(cfg.n_max)
-        )
-        report = mixing.stationarity_report(
-            cfg.kind, cfg.n_max, checkpoints, table=table
-        )
+        report = mixing.stationarity_report(kind, args.n, checkpoints, table=table)
         _emit(_json_text(report), args.report)
     return 0
 
 
 def _cmd_normality(args) -> int:
-    cfg = RunConfig(
-        kind=parse_kind(args.kind), n_max=args.n, block_size=args.block_size,
-        output=args.output,
-    )
-    normality.block_count(cfg.n_max, cfg.block_size)
-    table = sieve_table(cfg.kind, 1, cfg.n_max, workers=args.workers)
-    blocks = normality.block_standardize(table, cfg.n_max, cfg.block_size)
-    report = normality.report_from_blocks(str(cfg.kind), cfg.n_max, blocks)
-    _emit(_json_text(report), cfg.output)
+    kind = parse_kind(args.kind)
+    normality.block_count(args.n, args.block_size)
+    table = sieve_table(kind, 1, args.n, workers=args.workers)
+    blocks = normality.block_standardize(table, args.n, args.block_size)
+    report = normality.normality_report(str(kind), args.n, blocks)
+    _emit(_json_text(report), args.output)
     if args.blocks_csv is not None:
         rows = zip(
             range(1, blocks.block_count + 1), blocks.block_sums, blocks.standardized
@@ -252,26 +213,20 @@ def _cmd_ergodic(args) -> int:
 
 
 def _cmd_deviation(args) -> int:
-    cfg = RunConfig(
-        kind=parse_kind(args.kind),
-        n_max=args.n_max,
-        checkpoints=_parse_int_list(args.checkpoints) if args.checkpoints else (),
-        block_size=args.block_size,
-        output=args.output,
-    )
+    kind = parse_kind(args.kind)
     if args.mode == "variance-growth":
-        growth = dev.variance_growth(
-            cfg.kind, cfg.n_max, cfg.block_size or 1000, workers=args.workers
-        )
-        _emit(_json_text(growth), cfg.output)
+        growth = dev.variance_growth(kind, args.n_max, args.block_size, workers=args.workers)
+        _emit(_json_text(growth), args.output)
         return 0
-    checkpoints = cfg.checkpoints or tuple(_geometric_grid(cfg.n_max))
-    series = accumulate(cfg.kind, cfg.n_max, checkpoints, workers=args.workers)
+    checkpoints = (
+        _parse_int_list(args.checkpoints) if args.checkpoints else _geometric_grid(args.n_max)
+    )
+    series = accumulate(kind, args.n_max, checkpoints, workers=args.workers)
     if args.mode == "counting":
         report = dev.counting_deviation_check(series, args.trend_c, args.psi)
     else:
         report = dev.exponent_check(series, args.trend_c, args.xi)
-    _emit(_json_text(report), cfg.output)
+    _emit(_json_text(report), args.output)
     if args.trajectory is not None:
         rows = []
         for n, s in zip(series.checkpoints, series.sums):
@@ -390,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="const:2")
     p.add_argument("--xi", type=float, default=0.0)
     p.add_argument("--checkpoints", default=None)
-    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--block-size", type=int, default=1000)
     p.add_argument("--trajectory", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_deviation)

@@ -76,24 +76,6 @@ class DeviationReport:
     skipped: int = 0
 
 
-@dataclass(frozen=True)
-class VarianceBound:
-    generic: float    # n/4, the worst case over all densities
-    empirical: float  # n p(1-p) with the sieved density
-    density: float
-
-
-def independent_variance_bound(kind: FunctionKind, n: int, **kwargs) -> VarianceBound:
-    """Variance bounds n/4 and n p(1-p) for the sum of n indicator values."""
-    if not kind.is_indicator:
-        raise ValueError(f"variance bound requires an indicator kind, got {kind}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = accumulate(kind, n, [n], **kwargs).sums[0]
-    p = q / n
-    return VarianceBound(n / 4.0, n * p * (1.0 - p), p)
-
-
 def counting_ratio(n: int, s, c: float, psi_spec: PsiSpec | str) -> float:
     """|S(n) - nC| / (0.5 sqrt(n) Psi(n))."""
     return abs(s - n * c) / (0.5 * math.sqrt(n) * psi(psi_spec, n))

@@ -89,7 +89,9 @@ class EmpiricalCdf:
 
 
 def check_cdf_range(kind: FunctionKind, n: int) -> None:
-    """Refuse n above VON_MANGOLDT_CDF_LIMIT for the real-valued kind."""
+    """Refuse n below 1, and n above VON_MANGOLDT_CDF_LIMIT for the real-valued kind."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
         raise ValueError(
             f"exact distribution tables for von_mangoldt are unsupported beyond n={VON_MANGOLDT_CDF_LIMIT}"

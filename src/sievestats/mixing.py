@@ -16,6 +16,7 @@ import numpy as np
 from .kinds import FunctionKind
 from .sieves import ValueTable
 from .spectral import empirical_autocovariance
+from .sums import validate_checkpoints
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
 
@@ -172,26 +173,6 @@ def alpha_hat(table: ValueTable, n: int, lags) -> MixingEstimate:
 
 
 @dataclass(frozen=True)
-class SummabilityTrajectory:
-    lags: tuple[int, ...]
-    partial_sums: tuple[float, ...]
-    tail_slope: float  # fitted per-lag growth of the partial sums on the last half
-
-
-def alpha_summability(estimate: MixingEstimate) -> SummabilityTrajectory:
-    """Partial sums of alpha_hat over lags 1..L plus a boundedness diagnostic."""
-    lags = estimate.lags
-    if list(lags) != list(range(1, len(lags) + 1)):
-        raise ValueError("summability requires contiguous lags 1..L")
-    partial = np.cumsum(estimate.alpha_hat)
-    half = len(partial) // 2
-    tail_x = np.asarray(lags[half:], dtype=np.float64)
-    tail_y = partial[half:]
-    slope = float(np.polyfit(tail_x, tail_y, 1)[0]) if len(tail_x) >= 2 else 0.0
-    return SummabilityTrajectory(lags, tuple(float(v) for v in partial), slope)
-
-
-@dataclass(frozen=True)
 class StationarityReport:
     kind: FunctionKind
     n: int
@@ -226,11 +207,7 @@ def stationarity_report(
     |r_hat(h)| <= COVARIANCE_FACTOR*r_hat(0)/sqrt(n) for every lag
     h >= COVARIANCE_MIN_LAG among DEFAULT_REPORT_LAGS below n/2.
     """
-    cps = [int(c) for c in checkpoints]
-    if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be nonempty and strictly increasing")
-    if cps[0] < 1 or cps[-1] > n:
-        raise ValueError("checkpoints must lie in [1, n]")
+    cps = validate_checkpoints(checkpoints, n)
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
     vals = table.prefix(n)

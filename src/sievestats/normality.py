@@ -72,10 +72,10 @@ def block_count(n: int, block_size: int) -> int:
     return count
 
 
-def standardize_blocks(values: np.ndarray, block_size: int) -> BlockSample:
-    """Disjoint block sums T_j and their studentized values (T_j - mean)/sd."""
-    values = np.asarray(values)
-    count = block_count(len(values), block_size)
+def block_standardize(table: ValueTable, n: int, block_size: int) -> BlockSample:
+    """Disjoint block sums T_j of f(1..n) and their studentized values (T_j - mean)/sd."""
+    values = table.prefix(n)
+    count = block_count(n, block_size)
     trimmed = values[: count * block_size].reshape(count, block_size)
     if np.issubdtype(values.dtype, np.integer):
         sums = trimmed.sum(axis=1, dtype=np.int64).astype(np.float64)
@@ -96,10 +96,6 @@ def standardize_blocks(values: np.ndarray, block_size: int) -> BlockSample:
     )
 
 
-def block_standardize(table: ValueTable, n: int, block_size: int) -> BlockSample:
-    return standardize_blocks(table.prefix(n), block_size)
-
-
 @dataclass(frozen=True)
 class NormalityReport:
     label: str
@@ -112,7 +108,8 @@ class NormalityReport:
     sample_sd: float
 
 
-def report_from_blocks(label: str, n: int, blocks: BlockSample) -> NormalityReport:
+def normality_report(label: str, n: int, blocks: BlockSample) -> NormalityReport:
+    """KS distance of the studentized block sums of f(1..n) to the standard normal."""
     return NormalityReport(
         label,
         n,
@@ -123,15 +120,6 @@ def report_from_blocks(label: str, n: int, blocks: BlockSample) -> NormalityRepo
         blocks.sample_mean,
         blocks.sample_sd,
     )
-
-
-def report_from_values(label: str, values: np.ndarray, block_size: int) -> NormalityReport:
-    return report_from_blocks(label, len(values), standardize_blocks(values, block_size))
-
-
-def normality_report(table: ValueTable, n: int, block_size: int) -> NormalityReport:
-    """Full pipeline: block sums -> standardization -> KS distance to the normal."""
-    return report_from_values(str(table.kind), table.prefix(n), block_size)
 
 
 def squarefree_parity_weight_moments() -> tuple[float, float]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import SummationSeries
 
 
 @dataclass(frozen=True)
@@ -209,32 +208,3 @@ def empirical_autocovariance(x: np.ndarray, lags, center: bool = True) -> np.nda
     result = np.array(out)
     return result.real if not np.iscomplexobj(x) else result
 
-
-@dataclass(frozen=True)
-class ErgodicTrajectory:
-    checkpoints: tuple[int, ...]
-    mean_gap: tuple[float, ...]           # S(n)/n - m
-    scaled_deviation: tuple[float, ...]   # (S(n) - n m)/sqrt(n)
-    max_scaled_deviation: float
-
-
-def arithmetic_ergodic_check(series: SummationSeries, m: float) -> ErgodicTrajectory:
-    """Trajectories of S(n)/n - m and (S(n) - n m)/sqrt(n) at the checkpoints.
-
-    Reported, not asserted: convergence is only guaranteed for sequences that
-    are stationary with the mean m, and the scaled deviation records the
-    observed square-root-order constant.
-    """
-    if not series.checkpoints:
-        raise ValueError("series has no checkpoints")
-    gaps = []
-    scaled = []
-    for n, s in zip(series.checkpoints, series.sums):
-        gaps.append(s / n - m)
-        scaled.append((s - n * m) / math.sqrt(n))
-    return ErgodicTrajectory(
-        series.checkpoints,
-        tuple(gaps),
-        tuple(scaled),
-        max(abs(v) for v in scaled),
-    )

@@ -8,7 +8,7 @@ import numpy as np
 
 from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_MAX_HI, DEFAULT_SEGMENT_SIZE, iter_segments, validate_range
+from .sieves import DEFAULT_MAX_HI, DEFAULT_SEGMENT_SIZE, iter_segments, sieve_table, validate_range
 
 #: Dense prefix arrays are only materialized below this size.
 PREFIX_ARRAY_LIMIT = 10**7
@@ -34,7 +34,8 @@ class SummationSeries:
         return dict(zip(self.checkpoints, self.sums))
 
 
-def _validate_checkpoints(checkpoints, n_max: int) -> list[int]:
+def validate_checkpoints(checkpoints, n_max: int) -> list[int]:
+    """Checkpoints as ints; refuses an empty, unsorted or out-of-[1, n_max] list."""
     cps = [int(c) for c in checkpoints]
     if not cps:
         raise ValueError("at least one checkpoint is required")
@@ -63,7 +64,7 @@ def accumulate(
     `identities.prefers_identities`); everything else from one streaming
     sieve pass over [1, n_max].  Both routes refuse the same inputs.
     """
-    cps = _validate_checkpoints(checkpoints, n_max)
+    cps = validate_checkpoints(checkpoints, n_max)
     validate_range(1, n_max, segment_size=segment_size, max_hi=max_hi)
     if prefers_identities(kind, cps, n_max):
         sums = identity_sums(kind, cps, segment_size=segment_size, workers=workers)
@@ -134,12 +135,5 @@ def prefix_sums(
         raise ValueError(
             f"dense prefix arrays are limited to n_max <= {PREFIX_ARRAY_LIMIT}; use accumulate"
         )
-    dtype = np.int64 if kind.is_integer_valued else np.float64
-    chunks = []
-    running = 0
-    for _, _, vals in iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers):
-        prefix = np.cumsum(vals, dtype=dtype)
-        prefix += running
-        running = prefix[-1]
-        chunks.append(prefix)
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    table = sieve_table(kind, 1, n_max, segment_size=segment_size, workers=workers)
+    return np.cumsum(table.values, dtype=np.int64 if kind.is_integer_valued else np.float64)

@@ -33,9 +33,9 @@ import numpy as np
 
 import sievestats as ss
 from sievestats.cli import run
-from sievestats.normality import normal_cdf, report_from_values
+from sievestats.normality import normal_cdf
 from sievestats.oeis import read_bfile
-from sievestats.sieves import trial_factors
+from sievestats.sieves import ValueTable, trial_factors
 from sievestats.spectral import MovingAverageSpec, SpectralSpec, empirical_autocovariance
 from sievestats.sums import prefix_sums
 
@@ -197,13 +197,19 @@ def test_criterion_5_prime_mixing_level_and_decay(prime_table_1e4, prime_table):
     )
 
 
+def _ks(table) -> float:
+    """KS distance to the normal of the 1000 studentized block sums of size 1000 on [1, 10^6]."""
+    blocks = ss.block_standardize(table, 10**6, 1000)
+    return ss.normality_report(str(table.kind), 10**6, blocks).ks_statistic
+
+
 def test_criterion_6_block_sum_normality(mu_table, pw_table):
     start = time.monotonic()
-    ks_mu = ss.normality_report(mu_table, 10**6, 1000).ks_statistic
-    ks_pw = ss.normality_report(pw_table, 10**6, 1000).ks_statistic
+    ks_mu = _ks(mu_table)
+    ks_pw = _ks(pw_table)
     rng = np.random.default_rng(np.random.SeedSequence(20240801))
     control = (rng.random(10**6) < 0.5).astype(np.int8)
-    ks_control = report_from_values("bernoulli(0.5)", control, 1000).ks_statistic
+    ks_control = _ks(ValueTable(ss.PRIME, 1, 10**6, control))
     elapsed = time.monotonic() - start
     ok = ks_mu <= 0.15 and ks_pw <= 0.10 and ks_control <= 0.05 and elapsed < 60
     assert _record(
@@ -231,7 +237,7 @@ def test_criterion_6_block_sum_normality_squarefree(sf_table):
     """Squarefree window counts are lattice-valued, so the normal is discretized too."""
     blocks = ss.block_standardize(sf_table, 10**6, 1000)
     distance = _discretized_normal_distance(blocks)
-    ks_sf = ss.normality_report(sf_table, 10**6, 1000).ks_statistic
+    ks_sf = ss.normality_report("squarefree_indicator", 10**6, blocks).ks_statistic
     ok = distance <= 0.10
     assert _record(
         "6 block-sum normality: squarefree vs discretized normal <= 0.10",

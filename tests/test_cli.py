@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sievestats import cli, deviation
-from sievestats.cli import RunConfig, run
+from sievestats import deviation, sieves
+from sievestats.cli import run
 from sievestats.kinds import MOEBIUS, parse_kind
 from sievestats.sieves import oracle_value, sieve_table, write_table_csv
 
@@ -68,18 +68,41 @@ def test_sum_command(tmp_path):
          "too few blocks (2); need >= 30"),
         (["normality", "--kind", "moebius", "--n", "100000", "--block-size", "99"],
          "block size must be >= 100"),
+        (["dependence", "--kind", "moebius", "--n", "100000", "--checkpoints", "5,3",
+          "--report", "report.json"],
+         "checkpoints must be strictly increasing"),
+        (["sum", "--kind", "moebius", "--n-max", "0", "--checkpoints", "1"],
+         "checkpoint 1 exceeds n_max=0"),
+        (["sum", "--kind", "moebius", "--n-max", "10", "--checkpoints", "20"],
+         "checkpoint 20 exceeds n_max=10"),
+        (["sum", "--kind", "moebius", "--n-max", "10", "--checkpoints", "0,5"],
+         "checkpoints must be >= 1"),
+        (["stats", "--kind", "moebius", "--n", "0"], "n must be >= 1"),
+        (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "0..3"],
+         "lags must be >= 1"),
+        (["normality", "--kind", "moebius", "--n", "100000", "--block-size", "0"],
+         "block size must be >= 100"),
+        (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
+          "--block-size", "0"],
+         "block size must be >= 100"),
+        (["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"],
+         "checkpoint 1 exceeds n_max=0"),
     ],
     ids=["stats-cdf-limit", "dependence-order", "dependence-max-lag", "normality-count",
-         "normality-size"],
+         "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
+         "sum-checkpoint-above-n-max", "sum-checkpoint-zero", "stats-n-zero", "dependence-lag-zero",
+         "normality-block-size-zero", "variance-growth-block-size-zero",
+         "deviation-n-max-zero"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved before refusing")
 
-    monkeypatch.setattr(cli, "sieve_table", no_sieve)
-    assert run([*argv, "--output", str(tmp_path / "out")]) == 2
+    monkeypatch.setattr(sieves, "_segment_values", no_sieve)
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--output", "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_command(tmp_path):
@@ -249,15 +272,6 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n,S\n10,-1\n"
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig(n_max=0)
-    with pytest.raises(ValueError, match="exceed"):
-        RunConfig(n_max=10, checkpoints=(20,))
-    with pytest.raises(ValueError, match="lags"):
-        RunConfig(lags=(0,))
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -38,25 +38,6 @@ def test_psi_validation():
         psi("log", 0)
 
 
-def test_independent_variance_bound():
-    bound = ss.independent_variance_bound(ss.SQUAREFREE, 100)
-    assert bound.generic == 25.0
-    assert bound.empirical == pytest.approx(100 * 0.61 * 0.39)
-    assert bound.density == pytest.approx(0.61)
-    big = ss.independent_variance_bound(ss.SQUAREFREE, 10**6)
-    assert big.empirical == pytest.approx(10**6 * 0.2384, rel=1e-2)
-    with pytest.raises(ValueError, match="indicator"):
-        ss.independent_variance_bound(ss.MOEBIUS, 100)
-
-
-def test_independent_variance_bound_degenerate_density():
-    # No n <= 100 has nine distinct prime factors, so the density is zero.
-    empty = ss.independent_variance_bound(ss.omega_equals(9), 100)
-    assert empty.density == 0.0
-    assert empty.empirical == 0.0
-    assert empty.generic == 25.0
-
-
 def test_counting_check_squarefree_passes():
     cps = [int(v) for v in np.unique(np.geomspace(10, 10**6, 60).astype(int))]
     series = ss.accumulate(ss.SQUAREFREE, 10**6, cps)

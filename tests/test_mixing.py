@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.mixing import (
-    DEFAULT_REPORT_LAGS,
-    MixingEstimate,
-    alpha_hat_values,
-    alpha_summability,
-)
+from sievestats.mixing import DEFAULT_REPORT_LAGS, alpha_hat_values
 from sievestats.sieves import ValueTable
 
 
@@ -178,26 +173,6 @@ def test_alpha_iid_bernoulli_decays_like_sampling_noise():
         assert max(est.alpha_hat) <= bound
 
 
-def test_alpha_summability_zero_and_growing():
-    zero = MixingEstimate(1000, tuple(range(1, 11)), (0.0,) * 10)
-    traj = alpha_summability(zero)
-    assert traj.partial_sums == (0.0,) * 10
-    assert traj.tail_slope == 0.0
-
-    growing = MixingEstimate(
-        1000, tuple(range(1, 101)), tuple(1 / math.log(l + 2) for l in range(1, 101))
-    )
-    traj = alpha_summability(growing)
-    assert traj.partial_sums[-1] > traj.partial_sums[49]
-    assert traj.tail_slope > 0.2  # increments stay above 1/log(102)
-
-
-def test_alpha_summability_requires_contiguous_lags():
-    est = MixingEstimate(1000, (1, 3), (0.0, 0.0))
-    with pytest.raises(ValueError, match="contiguous"):
-        alpha_summability(est)
-
-
 def test_stationarity_moebius_all_verdicts_true(mu_table):
     cps = [int(v) for v in np.unique(np.geomspace(10, 10**6, 40).astype(int))]
     report = ss.stationarity_report(ss.MOEBIUS, 10**6, cps, table=mu_table)
@@ -235,5 +210,5 @@ def test_stationarity_checkpoint_validation():
     mu = ss.sieve_table(ss.MOEBIUS, 1, 100)
     with pytest.raises(ValueError, match="strictly increasing"):
         ss.stationarity_report(ss.MOEBIUS, 100, [50, 50], table=mu)
-    with pytest.raises(ValueError, match=r"\[1, n\]"):
+    with pytest.raises(ValueError, match="checkpoint 200 exceeds n_max=100"):
         ss.stationarity_report(ss.MOEBIUS, 100, [50, 200], table=mu)

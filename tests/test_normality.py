@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.normality import (
-    normal_cdf,
-    report_from_values,
-    squarefree_parity_weight_moments,
-)
+from sievestats.normality import normal_cdf, squarefree_parity_weight_moments
 from sievestats.sieves import ValueTable
 
 
@@ -99,12 +95,14 @@ def test_block_standardize_validation(mu_table):
 def test_bernoulli_blocks_pass_ks():
     rng = np.random.default_rng(np.random.SeedSequence(55))
     values = (rng.random(10**5) < 0.5).astype(np.int8)
-    report = report_from_values("bernoulli(0.5)", values, 1000)
+    blocks = ss.block_standardize(ValueTable(ss.PRIME, 1, 10**5, values), 10**5, 1000)
+    report = ss.normality_report("bernoulli(0.5)", 10**5, blocks)
     assert report.ks_statistic <= 0.15
 
 
 def test_mertens_blocks_feed_the_pipeline(mu_table):
-    report = ss.normality_report(mu_table, 10**6, 1000)
+    blocks = ss.block_standardize(mu_table, 10**6, 1000)
+    report = ss.normality_report(str(mu_table.kind), 10**6, blocks)
     assert report.block_count == 1000
     assert report.label == "moebius"
     assert 0.0 <= report.ks_statistic <= 1.0

@@ -175,6 +175,22 @@ def test_csv_cache_round_trip(kind, tmp_path):
     assert np.array_equal(loaded.values, table.values)
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    kind=st.one_of(st.sampled_from(ALL_KINDS), st.integers(1, 6).map(ss.omega_equals)),
+    bounds=st.lists(st.integers(1, 10**5), min_size=2, max_size=2).map(sorted),
+)
+def test_csv_cache_round_trip_property(kind, bounds, tmp_path_factory):
+    lo, hi = bounds
+    table = sieve_table(kind, lo, hi)
+    path = tmp_path_factory.mktemp("cache") / "table.csv"
+    text = write_table_csv(table, path)
+    loaded = read_table_csv(path)
+    assert (loaded.kind, loaded.lo, loaded.hi) == (kind, lo, hi)
+    assert np.array_equal(loaded.values, table.values)
+    assert table_text(loaded) == text
+
+
 def test_csv_cache_header_line(tmp_path):
     table = sieve_table(ss.omega_equals(3), 1, 5)
     path = tmp_path / "omega.csv"

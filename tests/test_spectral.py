@@ -222,34 +222,3 @@ def test_moving_average_span_validation():
         ss.sample_moving_average(spec, 100, seed=1)
     with pytest.raises(ValueError, match="coefficient"):
         MovingAverageSpec(())
-
-
-def test_arithmetic_ergodic_check_constant_function():
-    cps = (10, 100, 1000)
-    series = ss.SummationSeries(ss.SQUAREFREE, cps, cps)  # S(n) = n, f constant 1
-    traj = ss.arithmetic_ergodic_check(series, 1.0)
-    assert traj.mean_gap == (0.0, 0.0, 0.0)
-    assert traj.scaled_deviation == (0.0, 0.0, 0.0)
-    assert traj.max_scaled_deviation == 0.0
-
-
-def test_arithmetic_ergodic_check_mertens_trajectory():
-    cps = [10**3, 10**4, 10**5, 10**6]
-    series = ss.accumulate(ss.MOEBIUS, 10**6, cps)
-    traj = ss.arithmetic_ergodic_check(series, 0.0)
-    gaps = [abs(g) for g in traj.mean_gap]
-    assert gaps[-1] < gaps[0]           # S(n)/n shrinking toward zero
-    assert traj.max_scaled_deviation < 1.0  # |M(n)|/sqrt(n) stays below 1 here
-
-
-def test_arithmetic_ergodic_check_squarefree_bound():
-    cps = [int(v) for v in np.unique(np.geomspace(100, 10**6, 30).astype(int))]
-    series = ss.accumulate(ss.SQUAREFREE, 10**6, cps)
-    traj = ss.arithmetic_ergodic_check(series, 6 / math.pi**2)
-    assert traj.max_scaled_deviation <= 2.0
-
-
-def test_arithmetic_ergodic_check_requires_checkpoints():
-    series = ss.SummationSeries(ss.MOEBIUS, (), ())
-    with pytest.raises(ValueError, match="no checkpoints"):
-        ss.arithmetic_ergodic_check(series, 0.0)

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 60 CLI commands and keep every output.
+"""Run a fixed matrix of 69 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
 sparse checkpoints to 2*10^7 for the 5 kinds with prefix-sum identities; the
 counting, exponent and variance-growth deviation modes (with trajectories
 where the mode has one); riemann-check; ergodic; oeis-check on both vendored
-b-files; and a table cache miss followed by a hit.  Each command writes its
-outputs under OUTDIR, and `exit_codes.txt` records every exit status and
+b-files; a table cache miss followed by a hit; and 9 inputs that must be
+refused (exit status 2, one error line, no output file).  Each command writes
+its outputs under OUTDIR, and `exit_codes.txt` records every exit status and
 error line, so running this on two checkouts and comparing
 
     python3 tools/cli_outputs.py /tmp/before   # on the old checkout
@@ -101,6 +102,25 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     cache = ["table", "--kind", "moebius", "--lo", str(N - 99_999), "--hi", n,
              "--workers", "2", "--cache-dir", str(out / "cache")]
     cmds += [("table_cache_miss", cache), ("table_cache_hit", cache)]
+    cmds += [
+        ("refuse_sum_n-max_zero", ["sum", "--kind", "moebius", "--n-max", "0", "--checkpoints", "1"]),
+        ("refuse_sum_checkpoint_above_n-max",
+         ["sum", "--kind", "moebius", "--n-max", "10", "--checkpoints", "20"]),
+        ("refuse_sum_checkpoint_zero",
+         ["sum", "--kind", "moebius", "--n-max", "10", "--checkpoints", "0,5"]),
+        ("refuse_stats_n_zero", ["stats", "--kind", "moebius", "--n", "0"]),
+        ("refuse_dependence_lag_zero", ["dependence", "--kind", "moebius", "--n", n, "--lags", "0..3"]),
+        ("refuse_dependence_report_checkpoints",
+         ["dependence", "--kind", "moebius", "--n", n, "--checkpoints", "5,3",
+          "--report", str(out / "refuse_dependence_report_checkpoints.report.json")]),
+        ("refuse_normality_block-size_zero",
+         ["normality", "--kind", "moebius", "--n", n, "--block-size", "0"]),
+        ("refuse_variance-growth_block-size_zero",
+         ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "variance-growth",
+          "--block-size", "0"]),
+        ("refuse_deviation_n-max_zero",
+         ["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"]),
+    ]
     return cmds
 
 
