@@ -50,18 +50,10 @@ def _jsonable(obj):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, complex):
-        return {"imag": obj.imag, "real": obj.real}
     return obj
 
 
@@ -152,9 +144,10 @@ def _cmd_dependence(args) -> int:
             if args.checkpoints
             else _geometric_grid(args.n)
         )
+    elif args.checkpoints is not None:
+        raise ValueError("--checkpoints is only read with --report")
     table = sieve_table(kind, 1, args.n, workers=args.workers)
     cov = mixing.autocovariance(table, args.n, lags)
-    rows: list[tuple] = []
     if kind.alphabet() is not None:
         est = mixing.alpha_hat(table, args.n, lags)
         rows = list(zip(cov.lags, cov.r_hat, est.alpha_hat))
@@ -215,6 +208,8 @@ def _cmd_ergodic(args) -> int:
 def _cmd_deviation(args) -> int:
     kind = parse_kind(args.kind)
     if args.mode == "variance-growth":
+        if args.checkpoints is not None:
+            raise ValueError("--checkpoints is not read in --mode variance-growth")
         growth = dev.variance_growth(kind, args.n_max, args.block_size, workers=args.workers)
         _emit(_json_text(growth), args.output)
         return 0
@@ -223,18 +218,16 @@ def _cmd_deviation(args) -> int:
     )
     series = accumulate(kind, args.n_max, checkpoints, workers=args.workers)
     if args.mode == "counting":
-        report = dev.counting_deviation_check(series, args.trend_c, args.psi)
+        check, ratio, spec = dev.counting_deviation_check, dev.counting_ratio, args.psi
     else:
-        report = dev.exponent_check(series, args.trend_c, args.xi)
+        check, ratio, spec = dev.exponent_check, dev.exponent_ratio, args.xi
+    report = check(series, args.trend_c, spec)
     _emit(_json_text(report), args.output)
     if args.trajectory is not None:
         rows = []
         for n, s in zip(series.checkpoints, series.sums):
-            if args.mode == "counting":
-                ratio = dev.counting_ratio(n, s, args.trend_c, args.psi)
-            else:
-                ratio = dev.exponent_ratio(n, s, args.trend_c, args.xi)
-            rows.append((n, abs(s - n * args.trend_c), float("nan") if ratio is None else ratio))
+            r = ratio(n, s, args.trend_c, spec)
+            rows.append((n, abs(s - n * args.trend_c), float("nan") if r is None else r))
         _emit(_csv_text("n,deviation,ratio", rows), args.trajectory)
     return 0 if report.passed else 1
 

@@ -21,6 +21,10 @@ from .sums import SummationSeries, accumulate
 #: above the few-ulp rounding of the log and division that compute a ratio.
 PRUNE_SLACK = 1.0 + 1e-9
 
+#: Block counts, geometric from 30 to all blocks, at which variance growth
+#: estimates h_hat(n).
+GROWTH_GRID_POINTS = 25
+
 
 @dataclass(frozen=True)
 class PsiSpec:
@@ -89,6 +93,21 @@ def exponent_ratio(n: int, s, c: float, xi: float) -> float | None:
     return math.log(dev) / ((0.5 + xi) * math.log(n))
 
 
+def _worst_ratio(series: SummationSeries, ratio) -> tuple[float | None, int, int]:
+    """(worst, argmax, skipped): the largest ratio(n, S(n)) over the checkpoints.
+
+    The first checkpoint wins ties; a None ratio is skipped and counted.
+    """
+    worst, argmax, skipped = None, series.checkpoints[0], 0
+    for n, s in zip(series.checkpoints, series.sums):
+        r = ratio(n, s)
+        if r is None:
+            skipped += 1
+        elif worst is None or r > worst:
+            worst, argmax = r, n
+    return worst, argmax, skipped
+
+
 def counting_deviation_check(
     series: SummationSeries, c: float, psi_spec: PsiSpec | str
 ) -> DeviationReport:
@@ -99,11 +118,7 @@ def counting_deviation_check(
         raise ValueError("trend constant must lie in [0, 1]")
     if isinstance(psi_spec, str):
         psi_spec = parse_psi(psi_spec)
-    worst, argmax = 0.0, series.checkpoints[0]
-    for n, s in zip(series.checkpoints, series.sums):
-        ratio = counting_ratio(n, s, c, psi_spec)
-        if ratio > worst:
-            worst, argmax = ratio, n
+    worst, argmax, _ = _worst_ratio(series, lambda n, s: counting_ratio(n, s, c, psi_spec))
     return DeviationReport(
         str(series.kind),
         series.checkpoints[0],
@@ -125,13 +140,7 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
-    worst, argmax, skipped = None, 0, 0
-    for n, s in zip(series.checkpoints, series.sums):
-        ratio = exponent_ratio(n, s, c, xi)
-        if ratio is None:
-            skipped += 1
-        elif worst is None or ratio > worst:
-            worst, argmax = ratio, n
+    worst, argmax, skipped = _worst_ratio(series, lambda n, s: exponent_ratio(n, s, c, xi))
     if worst is None:
         raise ValueError("all checkpoints skipped (every deviation below 1)")
     return DeviationReport(
@@ -204,15 +213,13 @@ class VarianceGrowth:
     slope: float              # log-log slope of h_hat over the trajectory
 
 
-def growth_from_block_sums(
-    block_sums: np.ndarray, block_size: int, grid_points: int = 25
-) -> VarianceGrowth:
+def growth_from_block_sums(block_sums: np.ndarray, block_size: int) -> VarianceGrowth:
     """h_hat(n) from the sample variance of the first n/B disjoint block sums."""
     t = np.asarray(block_sums, dtype=np.float64)
     count = len(t)
     if count < 30:
         raise ValueError(f"too few blocks ({count}); need >= 30")
-    ms = np.unique(np.geomspace(30, count, grid_points).astype(int))
+    ms = np.unique(np.geomspace(30, count, GROWTH_GRID_POINTS).astype(int))
     h = np.array([t[:m].var(ddof=1) / block_size for m in ms])
     ns = ms * block_size
     if np.all(h > 0):
@@ -228,8 +235,6 @@ def variance_growth(
     kind: FunctionKind,
     n_max: int,
     block_size: int,
-    *,
-    grid_points: int = 25,
     **kwargs,
 ) -> VarianceGrowth:
     """Trajectory of h_hat(n) = D(S_n)/n estimated from disjoint block sums.
@@ -241,4 +246,4 @@ def variance_growth(
     series = accumulate(kind, cps[-1], cps, **kwargs)
     sums = np.array(series.sums, dtype=np.float64)
     block = np.diff(np.concatenate(([0.0], sums)))
-    return growth_from_block_sums(block, block_size, grid_points)
+    return growth_from_block_sums(block, block_size)

@@ -36,19 +36,18 @@ class EmpiricalMoments:
 def moments(table: ValueTable, n: int) -> EmpiricalMoments:
     """Mean S(n)/n, variance (1/n)sum f^2 - mean^2, extremes and histogram."""
     vals = table.prefix(n)
+    uniq, counts = np.unique(vals, return_counts=True)
     if table.kind.is_integer_valued:
-        total = int(vals.sum(dtype=np.int64))
-        mean = total / n
+        support = uniq.astype(np.int64)
+        mean = int(np.dot(support, counts)) / n
         if table.kind.is_indicator:
             # For 0/1 values, (1/n)sum f^2 - mean^2 is exactly mean(1 - mean).
             variance = mean * (1.0 - mean)
         else:
-            total_sq = int((vals.astype(np.int64) ** 2).sum())
-            variance = max(total_sq / n - mean * mean, 0.0)
+            variance = max(int(np.dot(support * support, counts)) / n - mean * mean, 0.0)
     else:
         mean = float(vals.sum()) / n
         variance = float(np.mean((vals - mean) ** 2))
-    uniq, counts = np.unique(vals, return_counts=True)
     histogram = None
     if len(uniq) <= HISTOGRAM_LIMIT:
         if table.kind.is_integer_valued:
@@ -56,7 +55,7 @@ def moments(table: ValueTable, n: int) -> EmpiricalMoments:
         else:
             histogram = {float(u): int(c) for u, c in zip(uniq, counts)}
     return EmpiricalMoments(
-        n, mean, float(variance), float(vals.min()), float(vals.max()), histogram
+        n, mean, float(variance), float(uniq[0]), float(uniq[-1]), histogram
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .kinds import FunctionKind
 from .sieves import ValueTable
 from .spectral import empirical_autocovariance
-from .sums import validate_checkpoints
+from .sums import checkpoint_sums, validate_checkpoints
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
 
@@ -56,16 +56,15 @@ def _autocov_int(x: np.ndarray, lags) -> tuple[list[float], float]:
     n = len(x)
     total = int(x.sum())
     mean = total / n
-    prefix = np.cumsum(x)
     out = []
     for h in lags:
         if h == 0:
-            sq = int((x * x).sum())
+            sq = int(np.dot(x, x))
             out.append(max(sq / n - mean * mean, 0.0))
             continue
         cross = int(np.dot(x[: n - h], x[h:]))
-        s_head = int(prefix[n - h - 1])
-        s_tail = total - int(prefix[h - 1])
+        s_head = total - int(x[n - h :].sum())
+        s_tail = total - int(x[:h].sum())
         out.append((cross - mean * (s_head + s_tail)) / (n - h) + mean * mean)
     return out, mean
 
@@ -85,10 +84,34 @@ def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     return CovarianceSequence(n, tuple(lags), tuple(r_hat), mean)
 
 
+def _value_codes(values: np.ndarray, alphabet) -> np.ndarray:
+    """Index of each value in the sorted alphabet; refuses values outside it."""
+    # Compared in the values' own dtype: searchsorted would map strays silently.
+    if sum(int(np.count_nonzero(values == a)) for a in alphabet) != len(values):
+        raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
+    return np.searchsorted(alphabet, values)
+
+
+def _joint_counts(codes: np.ndarray, size: int, lag: int) -> np.ndarray:
+    """Counts of the code pairs (codes[k], codes[k + lag]) as a size x size array."""
+    pair = codes[: len(codes) - lag] * size
+    pair += codes[lag:]
+    return np.bincount(pair, minlength=size * size).reshape(size, size)
+
+
+def _subset_gap(joint: np.ndarray, sel1: list[int], sel2: list[int], m: int) -> float:
+    """|P(B1 x B2) - P(B1) P(B2)| from joint counts over m pairs; B1, B2 given as code lists."""
+    block = joint[sel1, :]
+    cj = int(block[:, sel2].sum())
+    c1 = int(block.sum())
+    c2 = int(joint[:, sel2].sum())
+    return abs(cj / m - (c1 / m) * (c2 / m))
+
+
 def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     """|P(f(k) in B1, f(k+lag) in B2) - P(f(k) in B1) P(f(k+lag) in B2)|.
 
-    Frequencies run over k in [1, n-lag].
+    Frequencies run over k in [1, n-lag]; an empty subset gives 0.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -100,16 +123,10 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    vals = table.prefix(n)
-    head = vals[: n - lag]
-    tail = vals[lag:n]
-    m = n - lag
-    in1 = np.isin(head, sorted(b1)) if b1 else np.zeros(m, dtype=bool)
-    in2 = np.isin(tail, sorted(b2)) if b2 else np.zeros(m, dtype=bool)
-    joint = np.count_nonzero(in1 & in2)
-    c1 = np.count_nonzero(in1)
-    c2 = np.count_nonzero(in2)
-    return abs(joint / m - (c1 / m) * (c2 / m))
+    joint = _joint_counts(_value_codes(table.prefix(n), alphabet), len(alphabet), lag)
+    sel1 = [i for i, a in enumerate(alphabet) if a in b1]
+    sel2 = [i for i, a in enumerate(alphabet) if a in b2]
+    return _subset_gap(joint, sel1, sel2, n - lag)
 
 
 @dataclass(frozen=True)
@@ -133,34 +150,17 @@ def alpha_hat_values(values: np.ndarray, alphabet, lags) -> MixingEstimate:
     values = np.asarray(values)
     n = len(values)
     lags = validate_lags(lags, n, minimum=1)
-    alphabet = np.asarray(sorted(alphabet))
+    alphabet = sorted(alphabet)
     size = len(alphabet)
     if size > 8:
         raise ValueError("exhaustive subset scan limited to alphabets of <= 8 values")
-    # Compared in the values' own dtype: searchsorted would map strays silently.
-    if sum(int(np.count_nonzero(values == a)) for a in alphabet.tolist()) != n:
-        raise ValueError(f"values outside the alphabet {tuple(alphabet.tolist())}")
-    idx = np.searchsorted(alphabet, values)
+    codes = _value_codes(values, alphabet)
     subsets = _subset_index_lists(size)
     out = []
     for h in lags:
-        m = n - h
-        pair = idx[:m].astype(np.int64) * size + idx[h:n]
-        joint = np.bincount(pair, minlength=size * size).reshape(size, size)
-        row = joint.sum(axis=1)
-        col = joint.sum(axis=0)
-        best = 0.0
-        for sel1 in subsets:
-            c1 = int(row[sel1].sum())
-            block = joint[sel1, :].sum(axis=0)
-            for sel2 in subsets:
-                cj = int(block[sel2].sum())
-                c2 = int(col[sel2].sum())
-                # Same arithmetic as independence_gap, so max dominates exactly.
-                gap = abs(cj / m - (c1 / m) * (c2 / m))
-                if gap > best:
-                    best = gap
-        out.append(best)
+        joint = _joint_counts(codes, size, h)
+        gaps = (_subset_gap(joint, s1, s2, n - h) for s1 in subsets for s2 in subsets)
+        out.append(max(gaps, default=0.0))
     return MixingEstimate(n, tuple(lags), tuple(out))
 
 
@@ -212,18 +212,13 @@ def stationarity_report(
         raise ValueError("table kind does not match the requested kind")
     vals = table.prefix(n)
 
-    if kind.is_integer_valued:
-        prefix = np.cumsum(vals, dtype=np.int64)
-    else:
-        prefix = np.cumsum(vals)
-    traj = [float(prefix[c - 1]) / c for c in cps]
+    traj = [s / c for c, s in zip(cps, checkpoint_sums(kind, cps, [(1, n, vals)]))]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]
     tail_osc = max(abs(v - c_limit) for v in tail)
 
     lags = validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
-    r_global, _ = _autocov_values(vals, lags)
-    r0 = _autocov_values(vals, [0])[0][0]
+    (r0, *r_global), _ = _autocov_values(vals, [0, *lags])
 
     # Position stability: covariances recomputed on disjoint windows.
     window = n // REPORT_WINDOWS
@@ -238,7 +233,7 @@ def stationarity_report(
 
     bound = kind.value_bound()
     bounded = bound is not None
-    observed_bound = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    observed_bound = float(np.max(np.abs(vals)))
     value_bound = float(bound) if bounded else observed_bound
 
     mean_threshold = MEAN_TOLERANCE * (1.0 + abs(c_limit))

@@ -41,12 +41,6 @@ class SpectralSpec:
     def total_variance(self) -> float:
         return sum(sig2 for _, sig2 in self.atoms)
 
-    def zero_atom_index(self) -> int | None:
-        for i, (lam, _) in enumerate(self.atoms):
-            if lam == 0.0:
-                return i
-        return None
-
 
 @dataclass(frozen=True)
 class SpectralRealization:

@@ -72,43 +72,31 @@ def accumulate(
         segments = iter_segments(
             kind, 1, n_max, segment_size=segment_size, workers=workers, max_hi=max_hi
         )
-        sums = _sieved_sums(kind, cps, segments)
+        sums = checkpoint_sums(kind, cps, segments)
     return SummationSeries(kind, tuple(cps), tuple(sums))
 
 
-def _sieved_sums(kind: FunctionKind, cps: list[int], segments) -> list:
-    """S(c) at each checkpoint from an ascending stream of sieved segments.
+def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
+    """S(c) at each checkpoint c from an ascending stream of (lo, hi, values) segments.
 
-    Integer kinds accumulate in arbitrary-precision integers (int64 inside a
-    segment never overflows: |f| <= 2 and segments hold < 2^21 values).
-    von Mangoldt sums use pairwise summation inside segments and Kahan
-    compensation across them.
+    One Kahan-compensated carry runs across segments: an exact Python int
+    for integer kinds (int64 inside a segment never overflows: |f| <= 2 and
+    segments hold < 2^21 values), so its compensation stays 0, and a float
+    for von Mangoldt, whose segments are summed pairwise.
     """
+    dtype, scalar = (np.int64, int) if kind.is_integer_valued else (np.float64, float)
     sums: list = []
     idx = 0
-    if kind.is_integer_valued:
-        running = 0
-        for lo, hi, vals in segments:
-            if idx < len(cps) and cps[idx] <= hi:
-                prefix = np.cumsum(vals, dtype=np.int64)
-                while idx < len(cps) and cps[idx] <= hi:
-                    sums.append(running + int(prefix[cps[idx] - lo]))
-                    idx += 1
-                running += int(prefix[-1])
-            else:
-                running += int(vals.sum(dtype=np.int64))
-        return sums
-
-    total, comp = 0.0, 0.0
+    total = comp = scalar(0)
     for lo, hi, vals in segments:
         if idx < len(cps) and cps[idx] <= hi:
-            prefix = np.cumsum(vals)
+            prefix = np.cumsum(vals, dtype=dtype)
             while idx < len(cps) and cps[idx] <= hi:
-                sums.append(total + float(prefix[cps[idx] - lo]))
+                sums.append(total + scalar(prefix[cps[idx] - lo]))
                 idx += 1
-            seg_total = float(prefix[-1])
+            seg_total = scalar(prefix[-1])
         else:
-            seg_total = float(vals.sum())
+            seg_total = scalar(vals.sum(dtype=dtype))
         y = seg_total - comp
         t = total + y
         comp = (t - total) - y

@@ -87,12 +87,18 @@ def test_sum_command(tmp_path):
          "block size must be >= 100"),
         (["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"],
          "checkpoint 1 exceeds n_max=0"),
+        (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1", "--checkpoints", "5,3"],
+         "--checkpoints is only read with --report"),
+        (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
+          "--checkpoints", "5,3"],
+         "--checkpoints is not read in --mode variance-growth"),
     ],
     ids=["stats-cdf-limit", "dependence-order", "dependence-max-lag", "normality-count",
          "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
          "sum-checkpoint-above-n-max", "sum-checkpoint-zero", "stats-n-zero", "dependence-lag-zero",
          "normality-block-size-zero", "variance-growth-block-size-zero",
-         "deviation-n-max-zero"],
+         "deviation-n-max-zero", "dependence-checkpoints-without-report",
+         "variance-growth-checkpoints"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):

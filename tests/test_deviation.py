@@ -51,6 +51,7 @@ def test_counting_check_constant_indicator_is_zero():
     series = ss.SummationSeries(ss.SQUAREFREE, cps, cps)  # f identically 1
     report = ss.counting_deviation_check(series, 1.0, "const:2")
     assert report.worst_ratio == 0.0
+    assert report.argmax_n == 10  # the first checkpoint wins ties
     assert report.passed
 
 

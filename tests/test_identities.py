@@ -18,7 +18,7 @@ IDS = [str(k) for k in IDENTITY_KINDS]
 def sieved(kind, cps, n_max=None, **kwargs):
     """The sieve route of `accumulate`, taken whatever the cost model says."""
     segments = sieves.iter_segments(kind, 1, n_max or cps[-1], **kwargs)
-    return sums._sieved_sums(kind, cps, segments)
+    return sums.checkpoint_sums(kind, cps, segments)
 
 
 def test_identity_tags_are_the_five_kinds():

@@ -84,6 +84,7 @@ def test_independence_gap_prime_lag_one(prime_table_1e4, oracle_prime_flags):
 
 def test_independence_gap_full_alphabet_is_zero(mu_table):
     assert ss.independence_gap(mu_table, 10**4, 3, {-1, 0, 1}, {0, 1}) == 0.0
+    assert ss.independence_gap(mu_table, 10**4, 3, set(), {0, 1}) == 0.0
 
 
 def test_independence_gap_validation(mu_table):
@@ -96,6 +97,9 @@ def test_independence_gap_validation(mu_table):
     vm = ss.sieve_table(ss.VON_MANGOLDT, 1, 100)
     with pytest.raises(ValueError, match="finite-alphabet"):
         ss.independence_gap(vm, 100, 1, {0}, {0})
+    stray = ValueTable(ss.SQUAREFREE, 1, 6, np.array([1, 1, 0, 2, 1, 0], dtype=np.int8))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        ss.independence_gap(stray, 6, 1, {1}, {1})
 
 
 def test_alpha_dominates_every_subset_gap(mu_table):

@@ -98,6 +98,13 @@ def test_von_mangoldt_sum_is_compensated_and_close():
     assert series.sums[0] == threaded.sums[0]
 
 
+def test_von_mangoldt_checkpoint_sums_pinned():
+    # Exact float64 results of the Kahan carry over 997-value segments, with
+    # checkpoint-free segments summed pairwise; any change to that order shows.
+    series = ss.accumulate(ss.VON_MANGOLDT, 10**6, [1000, 65536, 10**6], segment_size=997)
+    assert series.sums == (996.6809122471752, 65466.400464967504, 999586.597495633)
+
+
 def test_prefix_sums_dense():
     dense = prefix_sums(ss.MOEBIUS, 2000, segment_size=611)
     assert dense.tolist() == oracle_prefix(ss.MOEBIUS, 2000)

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 69 CLI commands and keep every output.
+"""Run a fixed matrix of 73 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
 sparse checkpoints to 2*10^7 for the 5 kinds with prefix-sum identities; the
 counting, exponent and variance-growth deviation modes (with trajectories
-where the mode has one); riemann-check; ergodic; oeis-check on both vendored
-b-files; a table cache miss followed by a hit; and 9 inputs that must be
-refused (exit status 2, one error line, no output file).  Each command writes
+where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
+across 2^20-value segment boundaries; riemann-check; ergodic; oeis-check on
+both vendored b-files; a table cache miss followed by a hit; and 11 inputs
+that must be refused (exit status 2, one error line, no output file).  Each command writes
 its outputs under OUTDIR, and `exit_codes.txt` records every exit status and
 error line, so running this on two checkouts and comparing
 
@@ -85,6 +86,12 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         cmds.append((name, ["deviation", "--kind", kind, "--n-max", n, "--mode", mode, *extra,
                             "--trajectory", str(out / f"{name}.trajectory.csv")]))
     cmds += [
+        ("sum_von_mangoldt_multi_segment",
+         ["sum", "--kind", "von_mangoldt", "--n-max", "3000000",
+          "--checkpoints", "1000000,2500000,3000000"]),
+        ("deviation_variance-growth_von_mangoldt_multi_segment",
+         ["deviation", "--kind", "von_mangoldt", "--n-max", "3000000", "--mode", "variance-growth",
+          "--workers", "2"]),
         ("deviation_variance-growth_moebius",
          ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "variance-growth",
           "--block-size", "1000", "--workers", "2"]),
@@ -120,6 +127,11 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
           "--block-size", "0"]),
         ("refuse_deviation_n-max_zero",
          ["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"]),
+        ("refuse_dependence_checkpoints_without_report",
+         ["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1", "--checkpoints", "5,3"]),
+        ("refuse_variance-growth_checkpoints",
+         ["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
+          "--checkpoints", "5,3"]),
     ]
     return cmds
 
