@@ -33,10 +33,26 @@ class EmpiricalMoments:
     histogram: dict | None
 
 
+def _value_counts(vals: np.ndarray, alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in ascending order and their counts, as `np.unique` gives them.
+
+    A finite alphabet is counted value by value instead of sorting; values
+    outside it are refused.
+    """
+    if alphabet is None:
+        return np.unique(vals, return_counts=True)
+    support = np.array(sorted(alphabet), dtype=vals.dtype)
+    counts = np.array([np.count_nonzero(vals == a) for a in support], dtype=np.int64)
+    if int(counts.sum()) != len(vals):
+        raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
+    present = counts > 0
+    return support[present], counts[present]
+
+
 def moments(table: ValueTable, n: int) -> EmpiricalMoments:
     """Mean S(n)/n, variance (1/n)sum f^2 - mean^2, extremes and histogram."""
     vals = table.prefix(n)
-    uniq, counts = np.unique(vals, return_counts=True)
+    uniq, counts = _value_counts(vals, table.kind.alphabet())
     if table.kind.is_integer_valued:
         support = uniq.astype(np.int64)
         mean = int(np.dot(support, counts)) / n
@@ -100,7 +116,7 @@ def check_cdf_range(kind: FunctionKind, n: int) -> None:
 def empirical_cdf(table: ValueTable, n: int) -> EmpiricalCdf:
     check_cdf_range(table.kind, n)
     vals = table.prefix(n)
-    uniq, counts = np.unique(vals, return_counts=True)
+    uniq, counts = _value_counts(vals, table.kind.alphabet())
     cum = np.concatenate(([0], np.cumsum(counts)))
     if table.kind.is_integer_valued:
         support = tuple(int(u) for u in uniq)

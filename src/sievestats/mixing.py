@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinds import FunctionKind
-from .sieves import ValueTable
+from .sieves import DEFAULT_SEGMENT_SIZE, ValueTable
 from .spectral import empirical_autocovariance
 from .sums import checkpoint_sums, validate_checkpoints
 
@@ -51,52 +51,72 @@ def validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
     return out
 
 
-def _autocov_int(x: np.ndarray, lags) -> tuple[list[float], float]:
-    """Centered covariances from exact integer cross-moments."""
-    n = len(x)
-    total = int(x.sum())
-    mean = total / n
+def _value_bits(values: np.ndarray, alphabet) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per alphabet value, the bitset of positions holding it, and each value's count.
+
+    A bitset is little-endian uint64 words (position k is bit k % 64 of word
+    k // 64) ending in at least one zero word, so a shift never reads past
+    its end.  Refuses values outside the alphabet.
+    """
+    n = len(values)
+    words = -(-n // 64) + 1
+    hits = np.zeros(64 * words, dtype=bool)
+    bits = []
+    for a in alphabet:
+        # Compared in the values' own dtype, so a stray value matches nothing.
+        np.equal(values, a, out=hits[:n])
+        bits.append(np.packbits(hits, bitorder="little").view("<u8"))
+    counts = np.array([int(np.bitwise_count(b).sum()) for b in bits], dtype=np.int64)
+    if int(counts.sum()) != n:
+        raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
+    return bits, counts
+
+
+def _lag_counts(bits: list[np.ndarray], lag: int) -> np.ndarray:
+    """J[i, j] = #{k : f(k) = alphabet[i], f(k + lag) = alphabet[j]} from `_value_bits`."""
+    q, r = divmod(lag, 64)
+    words = len(bits[0]) - 1 - q
+    joint = np.empty((len(bits), len(bits)), dtype=np.int64)
+    both = np.empty(words, dtype=np.uint64)
+    for j, b in enumerate(bits):
+        # Bit k of `ahead` is bit k + lag of b: a word shift plus an r-bit carry.
+        ahead = b[q : q + words] >> r
+        if r:
+            ahead |= b[q + 1 : q + 1 + words] << (64 - r)
+        for i, a in enumerate(bits):
+            np.bitwise_and(a[:words], ahead, out=both)
+            joint[i, j] = int(np.bitwise_count(both).sum())
+    return joint
+
+
+def _autocov_values(values: np.ndarray, lags, alphabet) -> tuple[list[float], float]:
+    """Centered covariances and the mean; exact integer cross-moments for a finite alphabet."""
+    if alphabet is None:
+        x = np.asarray(values, dtype=np.float64)
+        return empirical_autocovariance(x, lags).tolist(), float(x.mean())
+    n = len(values)
+    bits, counts = _value_bits(values, alphabet)
+    a = np.array(alphabet, dtype=np.int64)
+    mean = int(a @ counts) / n
     out = []
     for h in lags:
         if h == 0:
-            sq = int(np.dot(x, x))
-            out.append(max(sq / n - mean * mean, 0.0))
+            out.append(max(int(a * a @ counts) / n - mean * mean, 0.0))
             continue
-        cross = int(np.dot(x[: n - h], x[h:]))
-        s_head = total - int(x[n - h :].sum())
-        s_tail = total - int(x[:h].sum())
+        joint = _lag_counts(bits, h)
+        cross = int(a @ joint @ a)
+        s_head = int(a @ joint.sum(axis=1))
+        s_tail = int(a @ joint.sum(axis=0))
         out.append((cross - mean * (s_head + s_tail)) / (n - h) + mean * mean)
     return out, mean
-
-
-def _autocov_values(values: np.ndarray, lags) -> tuple[list[float], float]:
-    if np.issubdtype(values.dtype, np.integer):
-        return _autocov_int(values.astype(np.int64), lags)
-    x = np.asarray(values, dtype=np.float64)
-    return empirical_autocovariance(x, lags).tolist(), float(x.mean())
 
 
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
     lags = validate_lags(lags, n, minimum=0)
     vals = table.prefix(n)
-    r_hat, mean = _autocov_values(vals, lags)
+    r_hat, mean = _autocov_values(vals, lags, table.kind.alphabet())
     return CovarianceSequence(n, tuple(lags), tuple(r_hat), mean)
-
-
-def _value_codes(values: np.ndarray, alphabet) -> np.ndarray:
-    """Index of each value in the sorted alphabet; refuses values outside it."""
-    # Compared in the values' own dtype: searchsorted would map strays silently.
-    if sum(int(np.count_nonzero(values == a)) for a in alphabet) != len(values):
-        raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
-    return np.searchsorted(alphabet, values)
-
-
-def _joint_counts(codes: np.ndarray, size: int, lag: int) -> np.ndarray:
-    """Counts of the code pairs (codes[k], codes[k + lag]) as a size x size array."""
-    pair = codes[: len(codes) - lag] * size
-    pair += codes[lag:]
-    return np.bincount(pair, minlength=size * size).reshape(size, size)
 
 
 def _subset_gap(joint: np.ndarray, sel1: list[int], sel2: list[int], m: int) -> float:
@@ -123,7 +143,8 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    joint = _joint_counts(_value_codes(table.prefix(n), alphabet), len(alphabet), lag)
+    bits, _ = _value_bits(table.prefix(n), alphabet)
+    joint = _lag_counts(bits, lag)
     sel1 = [i for i, a in enumerate(alphabet) if a in b1]
     sel2 = [i for i, a in enumerate(alphabet) if a in b2]
     return _subset_gap(joint, sel1, sel2, n - lag)
@@ -154,11 +175,11 @@ def alpha_hat_values(values: np.ndarray, alphabet, lags) -> MixingEstimate:
     size = len(alphabet)
     if size > 8:
         raise ValueError("exhaustive subset scan limited to alphabets of <= 8 values")
-    codes = _value_codes(values, alphabet)
+    bits, _ = _value_bits(values, alphabet)
     subsets = _subset_index_lists(size)
     out = []
     for h in lags:
-        joint = _joint_counts(codes, size, h)
+        joint = _lag_counts(bits, h)
         gaps = (_subset_gap(joint, s1, s2, n - h) for s1 in subsets for s2 in subsets)
         out.append(max(gaps, default=0.0))
     return MixingEstimate(n, tuple(lags), tuple(out))
@@ -211,14 +232,21 @@ def stationarity_report(
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
     vals = table.prefix(n)
+    alphabet = kind.alphabet()
 
-    traj = [s / c for c, s in zip(cps, checkpoint_sums(kind, cps, [(1, n, vals)]))]
+    # Sliced as `iter_segments` slices [1, n], so von Mangoldt's float
+    # trajectory matches `accumulate` bit for bit.
+    step = DEFAULT_SEGMENT_SIZE
+    segments = (
+        (lo, min(lo + step - 1, n), vals[lo - 1 : lo - 1 + step]) for lo in range(1, n + 1, step)
+    )
+    traj = [s / c for c, s in zip(cps, checkpoint_sums(kind, cps, segments))]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]
     tail_osc = max(abs(v - c_limit) for v in tail)
 
     lags = validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
-    (r0, *r_global), _ = _autocov_values(vals, [0, *lags])
+    (r0, *r_global), _ = _autocov_values(vals, [0, *lags], alphabet)
 
     # Position stability: covariances recomputed on disjoint windows.
     window = n // REPORT_WINDOWS
@@ -227,14 +255,13 @@ def stationarity_report(
         win_lags = [h for h in lags if h < window / 2]
         for w in range(REPORT_WINDOWS):
             seg = vals[w * window : (w + 1) * window]
-            r_win, _ = _autocov_values(seg, win_lags)
+            r_win, _ = _autocov_values(seg, win_lags, alphabet)
             for rw, rg in zip(r_win, r_global):
                 stability = max(stability, abs(rw - rg))
 
     bound = kind.value_bound()
     bounded = bound is not None
-    observed_bound = float(np.max(np.abs(vals)))
-    value_bound = float(bound) if bounded else observed_bound
+    value_bound = float(bound) if bounded else float(np.max(np.abs(vals)))
 
     mean_threshold = MEAN_TOLERANCE * (1.0 + abs(c_limit))
     cov_threshold = COVARIANCE_FACTOR * r0 / math.sqrt(n)

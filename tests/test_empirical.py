@@ -28,6 +28,24 @@ def test_constant_values_have_zero_variance():
     assert m.mean == 1.0
 
 
+def test_value_counts_match_np_unique(mu_table, pw_table):
+    missing_values = ValueTable(ss.MOEBIUS, 1, 50, np.ones(50, dtype=np.int8))
+    for table in (mu_table, pw_table, missing_values):
+        n = table.hi
+        uniq, counts = np.unique(table.values, return_counts=True)
+        cdf = empirical_cdf(table, n)
+        assert cdf.support == tuple(int(u) for u in uniq)
+        assert cdf.counts == tuple(int(c) for c in counts)
+        assert moments(table, n).histogram == dict(zip(cdf.support, cdf.counts))
+
+
+def test_values_outside_the_alphabet_are_refused():
+    stray = ValueTable(ss.SQUAREFREE, 1, 6, np.array([1, 1, 0, 2, 1, 0], dtype=np.int8))
+    for statistic in (moments, empirical_cdf):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            statistic(stray, 6)
+
+
 def test_indicator_variance_identity(sf_table):
     m = moments(sf_table, 10**6)
     assert m.variance == m.mean * (1.0 - m.mean)

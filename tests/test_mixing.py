@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.mixing import DEFAULT_REPORT_LAGS, alpha_hat_values
+from sievestats.mixing import DEFAULT_REPORT_LAGS, _lag_counts, _value_bits, alpha_hat_values
 from sievestats.sieves import ValueTable
 
 
@@ -19,6 +20,50 @@ def enumeration_gap(values, lag, b1, b2):
     c1 = int(np.count_nonzero(in1))
     c2 = int(np.count_nonzero(in2))
     return abs(joint / m - (c1 / m) * (c2 / m))
+
+
+def seeded_values(alphabet, n, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.choice(np.array(alphabet, dtype=np.int8), size=n)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-1, 0, 2)])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+def test_lag_counts_match_bincount_at_every_lag(alphabet, n):
+    values = seeded_values(alphabet, n, seed=n)
+    size = len(alphabet)
+    codes = np.searchsorted(alphabet, values).astype(np.int64)
+    bits, counts = _value_bits(values, alphabet)
+    assert counts.tolist() == np.bincount(codes, minlength=size).tolist()
+    for lag in range(n):
+        pairs = codes[: n - lag] * size + codes[lag:]
+        expected = np.bincount(pairs, minlength=size * size).reshape(size, size)
+        assert _lag_counts(bits, lag).tolist() == expected.tolist(), lag
+
+
+@pytest.mark.parametrize("position", [63, 64, 65])
+def test_stray_value_at_a_word_boundary_is_refused(position):
+    values = seeded_values((-1, 0, 1), 200, seed=position)
+    values[position] = 2
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        alpha_hat_values(values, (-1, 0, 1), [1])
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        ss.autocovariance(ValueTable(ss.MOEBIUS, 1, 200, values), 200, [64])
+
+
+def test_autocovariance_across_word_shifts_matches_int64_reference():
+    n, lags = 1000, [63, 64, 65, 128]
+    values = seeded_values((-1, 0, 1), n, seed=11)
+    x = values.astype(np.int64)
+    mean = int(x.sum()) / n
+    expected = []
+    for h in lags:
+        cross = int(np.dot(x[: n - h], x[h:]))
+        heads_and_tails = int(x[: n - h].sum()) + int(x[h:].sum())
+        expected.append((cross - mean * heads_and_tails) / (n - h) + mean * mean)
+    cov = ss.autocovariance(ValueTable(ss.MOEBIUS, 1, n, values), n, lags)
+    assert cov.r_hat == tuple(expected)
+    assert cov.mean_used == mean
 
 
 def test_autocovariance_constant_table_is_zero():
@@ -208,6 +253,52 @@ def test_stationarity_thresholds_recorded(mu_table):
         "covariance_min_lag",
     }
     assert report.covariance_lags == tuple(h for h in DEFAULT_REPORT_LAGS if h < 10**5 / 2)
+
+
+def test_stationarity_von_mangoldt_trajectory_matches_accumulate():
+    # Above 2^20 the trajectory spans several segments; its Kahan carry must
+    # run over the same segments as `accumulate`'s to give the same floats.
+    n = 3 * 10**6
+    cps = [1000, 1048576, 1048577, 2000000, 3000000]
+    vm = ss.sieve_table(ss.VON_MANGOLDT, 1, n)
+    report = ss.stationarity_report(ss.VON_MANGOLDT, n, cps, table=vm)
+    sums = ss.accumulate(ss.VON_MANGOLDT, n, cps).sums
+    assert report.mean_trajectory == tuple(s / c for c, s in zip(cps, sums))
+
+
+MEMORY_N = 2**23
+
+
+@pytest.fixture(scope="module")
+def mu_table_2e23():
+    return ss.sieve_table(ss.MOEBIUS, 1, MEMORY_N)
+
+
+@pytest.mark.parametrize(
+    "name, call, bytes_per_value",
+    [
+        ("autocovariance", lambda t: ss.autocovariance(t, MEMORY_N, DEFAULT_REPORT_LAGS), 4),
+        ("alpha_hat", lambda t: ss.alpha_hat(t, MEMORY_N, DEFAULT_REPORT_LAGS), 4),
+        ("stationarity_report",
+         lambda t: ss.stationarity_report(ss.MOEBIUS, MEMORY_N, [10**3, 10**6, MEMORY_N], table=t),
+         4),
+        ("moments", lambda t: ss.moments(t, MEMORY_N), 2),
+        ("empirical_cdf", lambda t: ss.empirical_cdf(t, MEMORY_N), 2),
+    ],
+)
+def test_finite_alphabet_statistics_peak_memory(mu_table_2e23, name, call, bytes_per_value):
+    """Allocations on top of the int8 table stay a few bytes per value.
+
+    Widening the table to int64, or building int64 codes or pair arrays,
+    costs 8 to 16 bytes per value.
+    """
+    tracemalloc.start()
+    try:
+        call(mu_table_2e23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_value * MEMORY_N, f"{name}: {peak / MEMORY_N:.2f} B per value"
 
 
 def test_stationarity_checkpoint_validation():

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 73 CLI commands and keep every output.
+"""Run a fixed matrix of 74 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
 sparse checkpoints to 2*10^7 for the 5 kinds with prefix-sum identities; the
 counting, exponent and variance-growth deviation modes (with trajectories
 where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
-across 2^20-value segment boundaries; riemann-check; ergodic; oeis-check on
-both vendored b-files; a table cache miss followed by a hit; and 11 inputs
-that must be refused (exit status 2, one error line, no output file).  Each command writes
-its outputs under OUTDIR, and `exit_codes.txt` records every exit status and
+across 2^20-value segment boundaries; `dependence` with its report at
+3*10^6, at lags that shift the joint counts by whole and partial 64-bit
+words; riemann-check; ergodic; oeis-check on both vendored b-files; a table
+cache miss followed by a hit; and 11 inputs that must be refused (exit
+status 2, one error line, no output file).  Each command writes its outputs
+under OUTDIR, and `exit_codes.txt` records every exit status and
 error line, so running this on two checkouts and comparing
 
     python3 tools/cli_outputs.py /tmp/before   # on the old checkout
@@ -92,6 +94,10 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("deviation_variance-growth_von_mangoldt_multi_segment",
          ["deviation", "--kind", "von_mangoldt", "--n-max", "3000000", "--mode", "variance-growth",
           "--workers", "2"]),
+        ("dependence_squarefree_parity_weight_multi_word",
+         ["dependence", "--kind", "squarefree_parity_weight", "--n", "3000000",
+          "--lags", "1..5,63,64,65,127,128,1000", "--workers", "2", "--report",
+          str(out / "dependence_squarefree_parity_weight_multi_word.report.json")]),
         ("deviation_variance-growth_moebius",
          ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "variance-growth",
           "--block-size", "1000", "--workers", "2"]),
