@@ -213,14 +213,15 @@ def _cmd_deviation(args) -> int:
         growth = dev.variance_growth(kind, args.n_max, args.block_size, workers=args.workers)
         _emit(_json_text(growth), args.output)
         return 0
+    if args.mode == "counting":
+        check, ratio = dev.counting_deviation_check, dev.counting_ratio
+        spec = dev.counting_psi(kind, args.trend_c, args.psi)
+    else:
+        check, ratio, spec = dev.exponent_check, dev.exponent_ratio, dev.check_xi(args.xi)
     checkpoints = (
         _parse_int_list(args.checkpoints) if args.checkpoints else _geometric_grid(args.n_max)
     )
     series = accumulate(kind, args.n_max, checkpoints, workers=args.workers)
-    if args.mode == "counting":
-        check, ratio, spec = dev.counting_deviation_check, dev.counting_ratio, args.psi
-    else:
-        check, ratio, spec = dev.exponent_check, dev.exponent_ratio, args.xi
     report = check(series, args.trend_c, spec)
     _emit(_json_text(report), args.output)
     if args.trajectory is not None:

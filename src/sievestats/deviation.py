@@ -93,42 +93,60 @@ def exponent_ratio(n: int, s, c: float, xi: float) -> float | None:
     return math.log(dev) / ((0.5 + xi) * math.log(n))
 
 
-def _worst_ratio(series: SummationSeries, ratio) -> tuple[float | None, int, int]:
-    """(worst, argmax, skipped): the largest ratio(n, S(n)) over the checkpoints.
+def counting_psi(kind: FunctionKind, c: float, psi_spec: PsiSpec | str) -> PsiSpec:
+    """The parsed Psi of a counting check of `kind` against the trend nC.
 
-    The first checkpoint wins ties; a None ratio is skipped and counted.
+    Refuses a kind that is not an indicator and a C outside [0, 1].
     """
-    worst, argmax, skipped = None, series.checkpoints[0], 0
-    for n, s in zip(series.checkpoints, series.sums):
+    if not kind.is_indicator:
+        raise ValueError("counting deviation check requires an indicator kind")
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("trend constant must lie in [0, 1]")
+    return parse_psi(psi_spec) if isinstance(psi_spec, str) else psi_spec
+
+
+def check_xi(xi: float) -> float:
+    """xi itself; refuses xi < 0."""
+    if xi < 0:
+        raise ValueError("xi must be >= 0")
+    return xi
+
+
+def _worst_report(
+    series: SummationSeries,
+    c: float,
+    ratio,
+    *,
+    psi_label: str | None = None,
+    xi: float | None = None,
+) -> DeviationReport:
+    """The report of the largest ratio(n, S(n)) over the checkpoints.
+
+    The first checkpoint wins ties; a None ratio is skipped and counted, and a
+    series whose every ratio is None is refused.
+    """
+    cps = series.checkpoints
+    worst, argmax, skipped = None, cps[0], 0
+    for n, s in zip(cps, series.sums):
         r = ratio(n, s)
         if r is None:
             skipped += 1
         elif worst is None or r > worst:
             worst, argmax = r, n
-    return worst, argmax, skipped
+    if worst is None:
+        raise ValueError("all checkpoints skipped (every deviation below 1)")
+    return DeviationReport(
+        str(series.kind), cps[0], cps[-1], c, psi_label, xi, worst, argmax, worst <= 1.0, skipped
+    )
 
 
 def counting_deviation_check(
     series: SummationSeries, c: float, psi_spec: PsiSpec | str
 ) -> DeviationReport:
     """worst_ratio = max_n |S(n) - nC| / (0.5 sqrt(n) Psi(n)) over the checkpoints."""
-    if not series.kind.is_indicator:
-        raise ValueError("counting deviation check requires an indicator kind")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("trend constant must lie in [0, 1]")
-    if isinstance(psi_spec, str):
-        psi_spec = parse_psi(psi_spec)
-    worst, argmax, _ = _worst_ratio(series, lambda n, s: counting_ratio(n, s, c, psi_spec))
-    return DeviationReport(
-        str(series.kind),
-        series.checkpoints[0],
-        series.checkpoints[-1],
-        c,
-        str(psi_spec),
-        None,
-        worst,
-        argmax,
-        worst <= 1.0,
+    psi_spec = counting_psi(series.kind, c, psi_spec)
+    return _worst_report(
+        series, c, lambda n, s: counting_ratio(n, s, c, psi_spec), psi_label=str(psi_spec)
     )
 
 
@@ -138,23 +156,8 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
     Checkpoints with |S(n) - nC| < 1 (or n < 2) are skipped to guard the
     logarithm; the skip count is reported.
     """
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
-    worst, argmax, skipped = _worst_ratio(series, lambda n, s: exponent_ratio(n, s, c, xi))
-    if worst is None:
-        raise ValueError("all checkpoints skipped (every deviation below 1)")
-    return DeviationReport(
-        str(series.kind),
-        series.checkpoints[0],
-        series.checkpoints[-1],
-        c,
-        None,
-        xi,
-        worst,
-        argmax,
-        worst <= 1.0,
-        skipped,
-    )
+    check_xi(xi)
+    return _worst_report(series, c, lambda n, s: exponent_ratio(n, s, c, xi), xi=xi)
 
 
 def mertens_riemann_check(
@@ -172,8 +175,7 @@ def mertens_riemann_check(
     bound log(max |M|) / (exponent * log(lo)), widened by PRUNE_SLACK, stays
     below it; such a segment only counts its zeros of M into `skipped`.
     """
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
+    check_xi(xi)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     exponent = 0.5 + xi

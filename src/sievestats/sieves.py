@@ -1,9 +1,9 @@
 """Segmented sieves that materialize arithmetic-function values over a range.
 
-All sieves stream over cache-sized segments, so ranges up to the configured
-maximum (10^9 by default) run in bounded memory.  Segments are independent
-and may be sieved concurrently; results are always delivered in ascending
-order, so downstream reductions stay deterministic.
+All sieves stream over cache-sized segments, so ranges up to the fixed
+maximum `DEFAULT_MAX_HI` = 10^9 run in bounded memory.  Segments are
+independent and may be sieved concurrently; results are always delivered in
+ascending order, so downstream reductions stay deterministic.
 
 A slow trial-division oracle (`factor_signature`, `oracle_value`) computes
 the same functions straight from the definitions and is the independent
@@ -26,7 +26,7 @@ import numpy as np
 from .kinds import FunctionKind, parse_kind
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # cache-resident marking buffers
-DEFAULT_MAX_HI = 10**9
+DEFAULT_MAX_HI = 10**9  # the largest hi any sieve accepts; below SIGNATURE_MAX_HI
 LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
 
@@ -196,14 +196,12 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     raise ValueError(f"unsupported kind: {kind}")
 
 
-def validate_range(lo: int, hi: int, *, segment_size: int, max_hi: int) -> None:
+def validate_range(lo: int, hi: int, *, segment_size: int) -> None:
     """Raise ValueError for a range or setting that `iter_segments` refuses."""
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    if hi > max_hi:
-        raise ValueError(f"hi={hi} exceeds the configured maximum {max_hi}")
-    if max_hi > SIGNATURE_MAX_HI:
-        raise ValueError(f"max_hi={max_hi} exceeds the uint8 signature bound {SIGNATURE_MAX_HI}")
+    if hi > DEFAULT_MAX_HI:
+        raise ValueError(f"hi={hi} exceeds the configured maximum {DEFAULT_MAX_HI}")
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
 
@@ -215,7 +213,6 @@ def iter_segments(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    max_hi: int = DEFAULT_MAX_HI,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (seg_lo, seg_hi, values) covering [lo, hi] in ascending order.
 
@@ -223,7 +220,7 @@ def iter_segments(
     prefetch window, but they are still yielded in range order, so consumers
     see the same stream regardless of scheduling.
     """
-    validate_range(lo, hi, segment_size=segment_size, max_hi=max_hi)
+    validate_range(lo, hi, segment_size=segment_size)
     primes = base_primes(math.isqrt(hi + 2))  # +2 covers the twin lookahead
     bounds = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
     if workers <= 1 or len(bounds) == 1:
@@ -250,16 +247,12 @@ def sieve_table(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    max_hi: int = DEFAULT_MAX_HI,
 ) -> ValueTable:
-    """Materialize f(lo..hi) as a ValueTable."""
-    parts = [
-        values
-        for _, _, values in iter_segments(
-            kind, lo, hi, segment_size=segment_size, workers=workers, max_hi=max_hi
-        )
-    ]
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """Materialize f(lo..hi) as a ValueTable, each segment written into one buffer."""
+    validate_range(lo, hi, segment_size=segment_size)
+    values = np.empty(hi - lo + 1, dtype=np.int8 if kind.is_integer_valued else np.float64)
+    for a, b, part in iter_segments(kind, lo, hi, segment_size=segment_size, workers=workers):
+        values[a - lo : b - lo + 1] = part
     return ValueTable(kind, lo, hi, values)
 
 

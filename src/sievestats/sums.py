@@ -8,7 +8,7 @@ import numpy as np
 
 from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_MAX_HI, DEFAULT_SEGMENT_SIZE, iter_segments, sieve_table, validate_range
+from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, sieve_table, validate_range
 
 #: Dense prefix arrays are only materialized below this size.
 PREFIX_ARRAY_LIMIT = 10**7
@@ -55,7 +55,6 @@ def accumulate(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    max_hi: int = DEFAULT_MAX_HI,
 ) -> SummationSeries:
     """Exact S(c) for every checkpoint c.
 
@@ -65,13 +64,11 @@ def accumulate(
     sieve pass over [1, n_max].  Both routes refuse the same inputs.
     """
     cps = validate_checkpoints(checkpoints, n_max)
-    validate_range(1, n_max, segment_size=segment_size, max_hi=max_hi)
+    validate_range(1, n_max, segment_size=segment_size)
     if prefers_identities(kind, cps, n_max):
         sums = identity_sums(kind, cps, segment_size=segment_size, workers=workers)
     else:
-        segments = iter_segments(
-            kind, 1, n_max, segment_size=segment_size, workers=workers, max_hi=max_hi
-        )
+        segments = iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers)
         sums = checkpoint_sums(kind, cps, segments)
     return SummationSeries(kind, tuple(cps), tuple(sums))
 

@@ -92,13 +92,25 @@ def test_sum_command(tmp_path):
         (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
           "--checkpoints", "5,3"],
          "--checkpoints is not read in --mode variance-growth"),
+        (["deviation", "--kind", "von_mangoldt", "--n-max", "100000", "--mode", "counting"],
+         "counting deviation check requires an indicator kind"),
+        (["deviation", "--kind", "prime_indicator", "--n-max", "100000", "--psi", "sqrt"],
+         "unknown psi form 'sqrt'"),
+        (["deviation", "--kind", "prime_indicator", "--n-max", "100000", "--psi", "const:0"],
+         "const psi requires a positive constant"),
+        (["deviation", "--kind", "prime_indicator", "--n-max", "100000", "--trend-c", "2"],
+         "trend constant must lie in [0, 1]"),
+        (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "exponent",
+          "--xi", "-1"],
+         "xi must be >= 0"),
     ],
     ids=["stats-cdf-limit", "dependence-order", "dependence-max-lag", "normality-count",
          "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
          "sum-checkpoint-above-n-max", "sum-checkpoint-zero", "stats-n-zero", "dependence-lag-zero",
          "normality-block-size-zero", "variance-growth-block-size-zero",
          "deviation-n-max-zero", "dependence-checkpoints-without-report",
-         "variance-growth-checkpoints"],
+         "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
+         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):

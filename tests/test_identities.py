@@ -80,19 +80,19 @@ def test_parity_weight_is_three_mertens_plus_squarefree_over_two():
 
 
 @pytest.mark.parametrize(
-    "kwargs,message",
+    "n,kwargs,message",
     [
-        ({"max_hi": 10**5}, "exceeds the configured maximum"),
-        ({"max_hi": 2**37}, "exceeds the uint8 signature bound"),
-        ({"segment_size": 0}, "segment_size must be positive"),
+        (sieves.DEFAULT_MAX_HI + 1, {}, "exceeds the configured maximum"),
+        (10**6, {"segment_size": 0}, "segment_size must be positive"),
     ],
+    ids=["above-max-hi", "segment-size-zero"],
 )
-def test_identity_route_refuses_what_the_sieve_refuses(kwargs, message):
-    assert prefers_identities(ss.MOEBIUS, [10**6], 10**6)
+def test_identity_route_refuses_what_the_sieve_refuses(n, kwargs, message):
+    assert prefers_identities(ss.MOEBIUS, [n], n)
     with pytest.raises(ValueError, match=message):
-        ss.accumulate(ss.MOEBIUS, 10**6, [10**6], **kwargs)
+        ss.accumulate(ss.MOEBIUS, n, [n], **kwargs)
     with pytest.raises(ValueError, match=message):
-        list(sieves.iter_segments(ss.MOEBIUS, 1, 10**6, **kwargs))
+        list(sieves.iter_segments(ss.MOEBIUS, 1, n, **kwargs))
 
 
 class _SieveRoute(Exception):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievestats as ss
+from sievestats import sieves
 from sievestats.kinds import parse_kind
 from sievestats.sieves import (
+    DEFAULT_MAX_HI,
     LOG_UNITS,
     SIGNATURE_MAX_HI,
     base_primes,
-    iter_segments,
     oracle_value,
     read_table_csv,
     sieve_table,
@@ -90,6 +92,24 @@ def test_workers_produce_identical_tables():
     serial = sieve_table(ss.MOEBIUS, 1, 10**6, segment_size=1 << 17, workers=1)
     parallel = sieve_table(ss.MOEBIUS, 1, 10**6, segment_size=1 << 17, workers=4)
     assert np.array_equal(serial.values, parallel.values)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sieve_table_peak_memory(workers):
+    """Segments are written into one int8 table: about 1 byte per value.
+
+    Collecting the segments and concatenating them holds every value twice,
+    2 bytes per value.  What lies above 1 byte is the segments in flight,
+    so n spans 32 segments to keep them a small share.
+    """
+    n = 2**25
+    tracemalloc.start()
+    try:
+        sieve_table(ss.MOEBIUS, 1, n, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n, f"{peak / n:.2f} bytes per value"
 
 
 def test_cross_kind_consistency(mu_table, sf_table, pw_table):
@@ -314,16 +334,18 @@ def test_signature_tiny_ranges(kind):
 
 @pytest.mark.parametrize("kind", [ss.LIOUVILLE, ss.omega_equals(1)], ids=str)
 def test_signature_largest_powers_below_the_cap(kind):
-    # 2^35 and 3^22 put 245 and 242 units in the uint8 accumulator.
+    # 2^35 and 3^22 put 245 and 242 units in the uint8 accumulator.  They lie
+    # above DEFAULT_MAX_HI, so the segment kernel is called directly.
     for n in (2**35, 3**22):
-        _assert_matches_oracle(kind, n, n, max_hi=SIGNATURE_MAX_HI)
+        values = sieves._segment_values(kind, n, n, base_primes(math.isqrt(n + 2)))
+        assert values.tolist() == [oracle_value(kind, n)], f"{kind} at n={n}"
 
 
 def test_signature_cap_is_refused_beyond_the_uint8_bound():
     assert 7 * math.log2(SIGNATURE_MAX_HI) <= 255
-    next(iter_segments(ss.MOEBIUS, 1, 10, max_hi=SIGNATURE_MAX_HI))
-    with pytest.raises(ValueError, match="uint8 signature bound"):
-        next(iter_segments(ss.MOEBIUS, 1, 10, max_hi=SIGNATURE_MAX_HI + 1))
+    assert DEFAULT_MAX_HI <= SIGNATURE_MAX_HI
+    with pytest.raises(ValueError, match="exceeds the configured maximum"):
+        sieves.validate_range(1, SIGNATURE_MAX_HI + 1, segment_size=1)
 
 
 def test_signature_log_units_are_far_from_rounding_ties():
