@@ -146,16 +146,14 @@ def _cmd_dependence(args) -> int:
         )
     elif args.checkpoints is not None:
         raise ValueError("--checkpoints is only read with --report")
-    table = sieve_table(kind, 1, args.n, workers=args.workers)
-    cov = mixing.autocovariance(table, args.n, lags)
-    if kind.alphabet() is not None:
-        est = mixing.alpha_hat(table, args.n, lags)
-        rows = list(zip(cov.lags, cov.r_hat, est.alpha_hat))
-    else:
-        rows = [(h, r, float("nan")) for h, r in zip(cov.lags, cov.r_hat)]
-    _emit(_csv_text("lag,r_hat,alpha_hat", rows), args.output)
+    empirical.check_cdf_range(kind, args.n)
+    values = sieve_table(kind, 1, args.n, workers=args.workers).values
+    # One pair-count object over [1, n] serves the CSV rows and the report.
+    pairs = mixing.PairCounts(values, kind.alphabet())
+    alpha = [pairs.alpha(h) if kind.alphabet() else float("nan") for h in lags]
+    _emit(_csv_text("lag,r_hat,alpha_hat", zip(lags, pairs.covariances(lags), alpha)), args.output)
     if args.report is not None:
-        report = mixing.stationarity_report(kind, args.n, checkpoints, table=table)
+        report = mixing.report_from_pairs(kind, checkpoints, values, pairs)
         _emit(_json_text(report), args.report)
     return 0
 

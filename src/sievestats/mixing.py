@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -89,43 +90,64 @@ def _lag_counts(bits: list[np.ndarray], lag: int) -> np.ndarray:
     return joint
 
 
-def _autocov_values(values: np.ndarray, lags, alphabet) -> tuple[list[float], float]:
-    """Centered covariances and the mean; exact integer cross-moments for a finite alphabet."""
-    if alphabet is None:
-        x = np.asarray(values, dtype=np.float64)
-        return empirical_autocovariance(x, lags).tolist(), float(x.mean())
-    n = len(values)
-    bits, counts = _value_bits(values, alphabet)
-    a = np.array(alphabet, dtype=np.int64)
-    mean = int(a @ counts) / n
-    out = []
-    for h in lags:
-        if h == 0:
-            out.append(max(int(a * a @ counts) / n - mean * mean, 0.0))
-            continue
-        joint = _lag_counts(bits, h)
-        cross = int(a @ joint @ a)
-        s_head = int(a @ joint.sum(axis=1))
-        s_tail = int(a @ joint.sum(axis=0))
-        out.append((cross - mean * (s_head + s_tail)) / (n - h) + mean * mean)
-    return out, mean
+class PairCounts:
+    """One value array's lagged pair statistics: packed once, each lag counted once.
+
+    A finite alphabet is packed by `_value_bits`, and `joint(lag)` counts J_lag
+    with `_lag_counts` when first asked for, then keeps it.  Without an alphabet
+    (von Mangoldt) the float values are kept for `empirical_autocovariance`.
+    """
+
+    def __init__(self, values: np.ndarray, alphabet):
+        self.n, self.alphabet = len(values), alphabet
+        if alphabet is None:
+            self.values = np.asarray(values, dtype=np.float64)
+            self.mean = float(self.values.mean())
+            return
+        self.bits, self.counts = _value_bits(values, alphabet)
+        self.a = np.array(alphabet, dtype=np.int64)
+        self.mean = int(self.a @ self.counts) / self.n
+        self._joint: dict[int, np.ndarray] = {}
+
+    def joint(self, lag: int) -> np.ndarray:
+        if lag not in self._joint:
+            self._joint[lag] = _lag_counts(self.bits, lag)
+        return self._joint[lag]
+
+    def covariances(self, lags) -> list[float]:
+        """Centered covariances: cross = a.J.a, head and tail sums from J's rows and columns."""
+        if self.alphabet is None:
+            return empirical_autocovariance(self.values, lags).tolist()
+        a, n, mean = self.a, self.n, self.mean
+        out = []
+        for h in lags:
+            if h == 0:
+                out.append(max(int(a * a @ self.counts) / n - mean * mean, 0.0))
+                continue
+            joint = self.joint(h)
+            heads_tails = int(a @ joint.sum(axis=1)) + int(a @ joint.sum(axis=0))
+            out.append((int(a @ joint @ a) - mean * heads_tails) / (n - h) + mean * mean)
+        return out
+
+    def gap(self, lag: int, b1, b2) -> float:
+        """|P(B1 x B2) - P(B1) P(B2)| over the n - lag pairs, for value subsets B1 and B2."""
+        sel1, sel2 = ([i for i, a in enumerate(self.alphabet) if a in b] for b in (b1, b2))
+        joint, m = self.joint(lag), self.n - lag
+        cj = int(joint[np.ix_(sel1, sel2)].sum())
+        c1, c2 = int(joint[sel1].sum()), int(joint[:, sel2].sum())
+        return abs(cj / m - (c1 / m) * (c2 / m))
+
+    def alpha(self, lag: int) -> float:
+        """Max gap over all pairs of nonempty proper value subsets."""
+        subsets = [s for k in range(1, len(self.alphabet)) for s in combinations(self.alphabet, k)]
+        return max((self.gap(lag, s1, s2) for s1 in subsets for s2 in subsets), default=0.0)
 
 
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
     lags = validate_lags(lags, n, minimum=0)
-    vals = table.prefix(n)
-    r_hat, mean = _autocov_values(vals, lags, table.kind.alphabet())
-    return CovarianceSequence(n, tuple(lags), tuple(r_hat), mean)
-
-
-def _subset_gap(joint: np.ndarray, sel1: list[int], sel2: list[int], m: int) -> float:
-    """|P(B1 x B2) - P(B1) P(B2)| from joint counts over m pairs; B1, B2 given as code lists."""
-    block = joint[sel1, :]
-    cj = int(block[:, sel2].sum())
-    c1 = int(block.sum())
-    c2 = int(joint[:, sel2].sum())
-    return abs(cj / m - (c1 / m) * (c2 / m))
+    pairs = PairCounts(table.prefix(n), table.kind.alphabet())
+    return CovarianceSequence(n, tuple(lags), tuple(pairs.covariances(lags)), pairs.mean)
 
 
 def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
@@ -143,11 +165,7 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    bits, _ = _value_bits(table.prefix(n), alphabet)
-    joint = _lag_counts(bits, lag)
-    sel1 = [i for i, a in enumerate(alphabet) if a in b1]
-    sel2 = [i for i, a in enumerate(alphabet) if a in b2]
-    return _subset_gap(joint, sel1, sel2, n - lag)
+    return PairCounts(table.prefix(n), alphabet).gap(lag, b1, b2)
 
 
 @dataclass(frozen=True)
@@ -158,39 +176,15 @@ class MixingEstimate:
     event_family: str = EVENT_FAMILY
 
 
-def _subset_index_lists(size: int) -> list[list[int]]:
-    # All nonempty proper subsets of {0..size-1} as index lists.
-    return [
-        [i for i in range(size) if mask >> i & 1]
-        for mask in range(1, (1 << size) - 1)
-    ]
-
-
-def alpha_hat_values(values: np.ndarray, alphabet, lags) -> MixingEstimate:
-    """Strong-mixing estimate for a raw value sequence over a finite alphabet."""
-    values = np.asarray(values)
-    n = len(values)
-    lags = validate_lags(lags, n, minimum=1)
-    alphabet = sorted(alphabet)
-    size = len(alphabet)
-    if size > 8:
-        raise ValueError("exhaustive subset scan limited to alphabets of <= 8 values")
-    bits, _ = _value_bits(values, alphabet)
-    subsets = _subset_index_lists(size)
-    out = []
-    for h in lags:
-        joint = _lag_counts(bits, h)
-        gaps = (_subset_gap(joint, s1, s2, n - h) for s1 in subsets for s2 in subsets)
-        out.append(max(gaps, default=0.0))
-    return MixingEstimate(n, tuple(lags), tuple(out))
-
-
 def alpha_hat(table: ValueTable, n: int, lags) -> MixingEstimate:
     """Max independence gap over all nonempty proper subset pairs, per lag."""
     alphabet = table.kind.alphabet()
     if alphabet is None:
         raise ValueError("mixing estimates require a finite-alphabet kind")
-    return alpha_hat_values(table.prefix(n), alphabet, lags)
+    values = table.prefix(n)
+    lags = validate_lags(lags, n, minimum=1)
+    pairs = PairCounts(values, alphabet)
+    return MixingEstimate(n, tuple(lags), tuple(pairs.alpha(h) for h in lags))
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,12 @@ def stationarity_report(
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
     vals = table.prefix(n)
-    alphabet = kind.alphabet()
+    return report_from_pairs(kind, cps, vals, PairCounts(vals, kind.alphabet()))
+
+
+def report_from_pairs(kind: FunctionKind, cps, vals: np.ndarray, pairs) -> StationarityReport:
+    """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
+    n = len(vals)
 
     # Sliced as `iter_segments` slices [1, n], so von Mangoldt's float
     # trajectory matches `accumulate` bit for bit.
@@ -246,7 +245,7 @@ def stationarity_report(
     tail_osc = max(abs(v - c_limit) for v in tail)
 
     lags = validate_lags([h for h in DEFAULT_REPORT_LAGS if h < n / 2], n, minimum=1)
-    (r0, *r_global), _ = _autocov_values(vals, [0, *lags], alphabet)
+    r0, *r_global = pairs.covariances([0, *lags])
 
     # Position stability: covariances recomputed on disjoint windows.
     window = n // REPORT_WINDOWS
@@ -254,9 +253,8 @@ def stationarity_report(
     if window >= 2:
         win_lags = [h for h in lags if h < window / 2]
         for w in range(REPORT_WINDOWS):
-            seg = vals[w * window : (w + 1) * window]
-            r_win, _ = _autocov_values(seg, win_lags, alphabet)
-            for rw, rg in zip(r_win, r_global):
+            seg = PairCounts(vals[w * window : (w + 1) * window], pairs.alphabet)
+            for rw, rg in zip(seg.covariances(win_lags), r_global):
                 stability = max(stability, abs(rw - rg))
 
     bound = kind.value_bound()

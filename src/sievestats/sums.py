@@ -85,9 +85,12 @@ def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
     sums: list = []
     idx = 0
     total = comp = scalar(0)
+    buf = np.empty(0, dtype=dtype)  # reused by every segment: one prefix array is ever alive
     for lo, hi, vals in segments:
         if idx < len(cps) and cps[idx] <= hi:
-            prefix = np.cumsum(vals, dtype=dtype)
+            if len(buf) < len(vals):
+                buf = np.empty(len(vals), dtype=dtype)
+            prefix = np.cumsum(vals, dtype=dtype, out=buf[: len(vals)])
             while idx < len(cps) and cps[idx] <= hi:
                 sums.append(total + scalar(prefix[cps[idx] - lo]))
                 idx += 1

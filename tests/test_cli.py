@@ -60,6 +60,8 @@ def test_sum_command(tmp_path):
     [
         (["stats", "--kind", "von_mangoldt", "--n", "20000000"],
          "exact distribution tables for von_mangoldt are unsupported beyond n=10000000"),
+        (["dependence", "--kind", "von_mangoldt", "--n", "10000001"],
+         "exact distribution tables for von_mangoldt are unsupported beyond n=10000000"),
         (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "3,2"],
          "lags must be strictly increasing"),
         (["dependence", "--kind", "liouville", "--n", "1000", "--lags", "1,500"],
@@ -104,8 +106,8 @@ def test_sum_command(tmp_path):
           "--xi", "-1"],
          "xi must be >= 0"),
     ],
-    ids=["stats-cdf-limit", "dependence-order", "dependence-max-lag", "normality-count",
-         "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
+    ids=["stats-cdf-limit", "dependence-von-mangoldt-limit", "dependence-order",
+         "dependence-max-lag", "normality-count", "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
          "sum-checkpoint-above-n-max", "sum-checkpoint-zero", "stats-n-zero", "dependence-lag-zero",
          "normality-block-size-zero", "variance-growth-block-size-zero",
          "deviation-n-max-zero", "dependence-checkpoints-without-report",

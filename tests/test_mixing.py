@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.mixing import DEFAULT_REPORT_LAGS, _lag_counts, _value_bits, alpha_hat_values
+from sievestats import cli, mixing
+from sievestats.mixing import DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _value_bits
 from sievestats.sieves import ValueTable
 
 
@@ -46,7 +47,7 @@ def test_stray_value_at_a_word_boundary_is_refused(position):
     values = seeded_values((-1, 0, 1), 200, seed=position)
     values[position] = 2
     with pytest.raises(ValueError, match="outside the alphabet"):
-        alpha_hat_values(values, (-1, 0, 1), [1])
+        ss.alpha_hat(ValueTable(ss.MOEBIUS, 1, 200, values), 200, [1])
     with pytest.raises(ValueError, match="outside the alphabet"):
         ss.autocovariance(ValueTable(ss.MOEBIUS, 1, 200, values), 200, [64])
 
@@ -211,15 +212,41 @@ def test_alpha_rejects_values_outside_the_alphabet(stray):
     vals = np.array([2, -1, 0, 2, -1, 0, 2, 2] * 10, dtype=np.int8)
     vals[17] = stray
     with pytest.raises(ValueError, match="outside the alphabet"):
-        alpha_hat_values(vals, (-1, 0, 2), [1, 2])
+        ss.alpha_hat(ValueTable(ss.PARITY_WEIGHT, 1, len(vals), vals), len(vals), [1, 2])
 
 
 def test_alpha_iid_bernoulli_decays_like_sampling_noise():
     for n, bound in ((10**4, 2 / math.sqrt(10**4)), (10**6, 2 / math.sqrt(10**6))):
         rng = np.random.default_rng(np.random.SeedSequence(7))
         vals = (rng.random(n) < 0.5).astype(np.int8)
-        est = alpha_hat_values(vals, (0, 1), [1, 2, 5, 10])
+        est = ss.alpha_hat(ValueTable(ss.SQUAREFREE, 1, n, vals), n, [1, 2, 5, 10])
         assert max(est.alpha_hat) <= bound
+
+
+def test_dependence_report_packs_each_array_once_and_counts_each_lag_once(monkeypatch, tmp_path):
+    """`dependence --report` shares one [1, n] pair-count object between the CSV and the report."""
+    n = 10**5
+    packed, counted = [], []
+
+    def value_bits(values, alphabet):
+        bits, counts = _value_bits(values, alphabet)
+        packed.append((len(values), bits))  # kept alive, so no id is reused
+        return bits, counts
+
+    def lag_counts(bits, lag):
+        counted.append((id(bits), lag))
+        return _lag_counts(bits, lag)
+
+    monkeypatch.setattr(mixing, "_value_bits", value_bits)
+    monkeypatch.setattr(mixing, "_lag_counts", lag_counts)
+    argv = ["dependence", "--kind", "moebius", "--n", str(n), "--lags", "1..20,64",
+            "--report", str(tmp_path / "report.json"), "--output", str(tmp_path / "dep.csv")]
+    assert cli.run(argv) == 0
+    assert [size for size, _ in packed] == [n] + [n // REPORT_WINDOWS] * REPORT_WINDOWS
+    assert len(counted) == len(set(counted))
+    assert {lag for bits, lag in counted if bits == id(packed[0][1])} == {
+        *range(1, 21), 64, *(h for h in DEFAULT_REPORT_LAGS if h < n / 2)
+    }
 
 
 def test_stationarity_moebius_all_verdicts_true(mu_table):

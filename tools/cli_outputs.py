@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 77 CLI commands and keep every output.
+"""Run a fixed matrix of 78 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -9,7 +9,7 @@ where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
 across 2^20-value segment boundaries; `dependence` with its report at
 3*10^6, at lags that shift the joint counts by whole and partial 64-bit
 words; riemann-check; ergodic; oeis-check on both vendored b-files; a table
-cache miss followed by a hit; and 14 inputs that must be refused (exit
+cache miss followed by a hit; and 15 inputs that must be refused (exit
 status 2, one error line, no output file).  Each command writes its outputs
 under OUTDIR, and `exit_codes.txt` records every exit status and
 error line, so running this on two checkouts and comparing
@@ -144,6 +144,8 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
          ["deviation", "--kind", "prime_indicator", "--n-max", n, "--psi", "sqrt"]),
         ("refuse_deviation_xi_negative",
          ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "exponent", "--xi", "-1"]),
+        ("refuse_dependence_von_mangoldt_above_limit",
+         ["dependence", "--kind", "von_mangoldt", "--n", "10000001"]),
     ]
     return cmds
 
