@@ -20,7 +20,7 @@ import numpy as np
 from . import deviation as dev
 from . import empirical, mixing, normality, oeis, spectral
 from .kinds import FunctionKind, parse_kind
-from .sieves import read_table_csv, sieve_table, table_text, write_table_csv
+from .sieves import iter_segments, read_table_csv, sieve_table, table_text, write_table_csv
 from .sums import accumulate, validate_checkpoints
 
 
@@ -128,9 +128,9 @@ def _cmd_sum(args) -> int:
 def _cmd_stats(args) -> int:
     kind = parse_kind(args.kind)
     empirical.check_cdf_range(kind, args.n)
-    table = sieve_table(kind, 1, args.n, workers=args.workers)
-    mom = empirical.moments(table, args.n)
-    cdf = empirical.empirical_cdf(table, args.n)
+    counts = empirical.value_counts(kind, iter_segments(kind, 1, args.n, workers=args.workers))
+    mom = empirical.moments_from_counts(kind, args.n, *counts)
+    cdf = empirical.cdf_from_counts(args.n, *counts)
     _emit(_json_text({"cdf": cdf, "moments": mom}), args.output)
     return 0
 
@@ -160,9 +160,8 @@ def _cmd_dependence(args) -> int:
 
 def _cmd_normality(args) -> int:
     kind = parse_kind(args.kind)
-    normality.block_count(args.n, args.block_size)
-    table = sieve_table(kind, 1, args.n, workers=args.workers)
-    blocks = normality.block_standardize(table, args.n, args.block_size)
+    segments = iter_segments(kind, 1, args.n, workers=args.workers)
+    blocks = normality.block_sample(kind, args.n, args.block_size, segments)
     report = normality.normality_report(str(kind), args.n, blocks)
     _emit(_json_text(report), args.output)
     if args.blocks_csv is not None:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .normality import block_count
+from .normality import block_count, block_sums
 from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments
-from .sums import SummationSeries, accumulate
+from .sums import SummationSeries
 
 #: Relative widening of the pruning bound in `mertens_riemann_check`; far
 #: above the few-ulp rounding of the log and division that compute a ratio.
@@ -243,9 +243,6 @@ def variance_growth(
 
     Near-linear variance growth shows up as a log-log slope near zero.
     """
-    count = block_count(n_max, block_size)
-    cps = [block_size * (i + 1) for i in range(count)]
-    series = accumulate(kind, cps[-1], cps, **kwargs)
-    sums = np.array(series.sums, dtype=np.float64)
-    block = np.diff(np.concatenate(([0.0], sums)))
-    return growth_from_block_sums(block, block_size)
+    end = block_count(n_max, block_size) * block_size
+    segments = iter_segments(kind, 1, end, **kwargs)
+    return growth_from_block_sums(block_sums(kind, end, block_size, segments), block_size)

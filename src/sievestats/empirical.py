@@ -49,30 +49,31 @@ def _value_counts(vals: np.ndarray, alphabet) -> tuple[np.ndarray, np.ndarray]:
     return support[present], counts[present]
 
 
+def value_counts(kind: FunctionKind, segments) -> tuple[np.ndarray, np.ndarray]:
+    """`_value_counts` of the values of (lo, hi, values) segments, counted one segment at a time."""
+    parts = [_value_counts(vals, kind.alphabet()) for _, _, vals in segments]
+    uniq, where = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return uniq, counts
+
+
+def moments_from_counts(kind: FunctionKind, n: int, uniq, counts) -> EmpiricalMoments:
+    """Mean (1/n)sum u*c, variance (1/n)sum u^2*c - mean^2, extremes and histogram."""
+    weighted = uniq * counts
+    mean = weighted.sum().item() / n
+    if kind.is_indicator:
+        # For 0/1 values, (1/n)sum f^2 - mean^2 is exactly mean(1 - mean).
+        variance = mean * (1.0 - mean)
+    else:
+        variance = max((uniq * weighted).sum().item() / n - mean * mean, 0.0)
+    histogram = dict(zip(uniq.tolist(), counts.tolist())) if len(uniq) <= HISTOGRAM_LIMIT else None
+    return EmpiricalMoments(n, mean, variance, float(uniq[0]), float(uniq[-1]), histogram)
+
+
 def moments(table: ValueTable, n: int) -> EmpiricalMoments:
     """Mean S(n)/n, variance (1/n)sum f^2 - mean^2, extremes and histogram."""
-    vals = table.prefix(n)
-    uniq, counts = _value_counts(vals, table.kind.alphabet())
-    if table.kind.is_integer_valued:
-        support = uniq.astype(np.int64)
-        mean = int(np.dot(support, counts)) / n
-        if table.kind.is_indicator:
-            # For 0/1 values, (1/n)sum f^2 - mean^2 is exactly mean(1 - mean).
-            variance = mean * (1.0 - mean)
-        else:
-            variance = max(int(np.dot(support * support, counts)) / n - mean * mean, 0.0)
-    else:
-        mean = float(vals.sum()) / n
-        variance = float(np.mean((vals - mean) ** 2))
-    histogram = None
-    if len(uniq) <= HISTOGRAM_LIMIT:
-        if table.kind.is_integer_valued:
-            histogram = {int(u): int(c) for u, c in zip(uniq, counts)}
-        else:
-            histogram = {float(u): int(c) for u, c in zip(uniq, counts)}
-    return EmpiricalMoments(
-        n, mean, float(variance), float(uniq[0]), float(uniq[-1]), histogram
-    )
+    return moments_from_counts(table.kind, n, *value_counts(table.kind, table.segments(n)))
 
 
 def density(kind: FunctionKind, n: int, **kwargs) -> float:
@@ -113,18 +114,12 @@ def check_cdf_range(kind: FunctionKind, n: int) -> None:
         )
 
 
+def cdf_from_counts(n: int, uniq, counts) -> EmpiricalCdf:
+    """F(y) on [1, n] from the distinct values and their counts."""
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    return EmpiricalCdf(n, tuple(uniq.tolist()), tuple(counts.tolist()), tuple((cum / n).tolist()))
+
+
 def empirical_cdf(table: ValueTable, n: int) -> EmpiricalCdf:
     check_cdf_range(table.kind, n)
-    vals = table.prefix(n)
-    uniq, counts = _value_counts(vals, table.kind.alphabet())
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    if table.kind.is_integer_valued:
-        support = tuple(int(u) for u in uniq)
-    else:
-        support = tuple(float(u) for u in uniq)
-    return EmpiricalCdf(
-        n,
-        support,
-        tuple(int(c) for c in counts),
-        tuple(float(c) / n for c in cum),
-    )
+    return cdf_from_counts(n, *value_counts(table.kind, table.segments(n)))

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .kinds import FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, ValueTable
+from .sieves import ValueTable
 from .spectral import empirical_autocovariance
 from .sums import checkpoint_sums, validate_checkpoints
 
@@ -29,6 +29,8 @@ COVARIANCE_FACTOR = 3.0
 COVARIANCE_MIN_LAG = 10
 
 EVENT_FAMILY = "single-coordinate value subsets"
+
+PACK_CHUNK = 1 << 20  # values packed at a time by `_value_bits`; a multiple of 64
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,14 @@ def _value_bits(values: np.ndarray, alphabet) -> tuple[list[np.ndarray], np.ndar
     its end.  Refuses values outside the alphabet.
     """
     n = len(values)
-    words = -(-n // 64) + 1
-    hits = np.zeros(64 * words, dtype=bool)
-    bits = []
-    for a in alphabet:
-        # Compared in the values' own dtype, so a stray value matches nothing.
-        np.equal(values, a, out=hits[:n])
-        bits.append(np.packbits(hits, bitorder="little").view("<u8"))
+    bits = [np.zeros(-(-n // 64) + 1, dtype="<u8") for _ in alphabet]
+    hits = np.empty(min(n, PACK_CHUNK), dtype=bool)
+    for start in range(0, n, PACK_CHUNK):
+        chunk = values[start : start + PACK_CHUNK]
+        for a, b in zip(alphabet, bits):
+            # Compared in the values' own dtype, so a stray value matches nothing.
+            packed = np.packbits(np.equal(chunk, a, out=hits[: len(chunk)]), bitorder="little")
+            b.view(np.uint8)[start // 8 : start // 8 + len(packed)] = packed
     counts = np.array([int(np.bitwise_count(b).sum()) for b in bits], dtype=np.int64)
     if int(counts.sum()) != n:
         raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
@@ -235,10 +238,7 @@ def report_from_pairs(kind: FunctionKind, cps, vals: np.ndarray, pairs) -> Stati
 
     # Sliced as `iter_segments` slices [1, n], so von Mangoldt's float
     # trajectory matches `accumulate` bit for bit.
-    step = DEFAULT_SEGMENT_SIZE
-    segments = (
-        (lo, min(lo + step - 1, n), vals[lo - 1 : lo - 1 + step]) for lo in range(1, n + 1, step)
-    )
+    segments = ValueTable(kind, 1, n, vals).segments(n)
     traj = [s / c for c, s in zip(cps, checkpoint_sums(kind, cps, segments))]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinds import FunctionKind
 from .sieves import ValueTable
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,28 +73,41 @@ def block_count(n: int, block_size: int) -> int:
     return count
 
 
-def block_standardize(table: ValueTable, n: int, block_size: int) -> BlockSample:
-    """Disjoint block sums T_j of f(1..n) and their studentized values (T_j - mean)/sd."""
-    values = table.prefix(n)
+def block_sums(kind: FunctionKind, n: int, block_size: int, segments) -> np.ndarray:
+    """T_1, ..., T_{n//B} of f(1..n) as float64, from ascending (lo, hi, values) segments.
+
+    Each segment is reduced at its block starts; a block that straddles two
+    segments carries its partial sum into the next.  Values past n//B blocks go unread.
+    """
     count = block_count(n, block_size)
-    trimmed = values[: count * block_size].reshape(count, block_size)
-    if np.issubdtype(values.dtype, np.integer):
-        sums = trimmed.sum(axis=1, dtype=np.int64).astype(np.float64)
-    else:
-        sums = trimmed.sum(axis=1, dtype=np.float64)
+    end = count * block_size
+    sums = np.zeros(count, dtype=np.int64 if kind.is_integer_valued else np.float64)
+    for lo, hi, vals in segments:
+        if lo > end:
+            break
+        vals = vals[: end - lo + 1]
+        first = -(lo - 1) % block_size  # offset of the first block start in the segment
+        starts = np.arange(first or block_size, len(vals), block_size)
+        parts = np.add.reduceat(vals, np.concatenate(([0], starts)), dtype=sums.dtype)
+        block = (lo - 1) // block_size
+        sums[block : block + len(parts)] += parts
+    return sums.astype(np.float64)
+
+
+def block_sample(kind: FunctionKind, n: int, block_size: int, segments) -> BlockSample:
+    """The block sums T_j of f(1..n) from `block_sums` and their studentized values (T_j - mean)/sd."""
+    sums = block_sums(kind, n, block_size, segments)
     mean = float(sums.mean())
     sd = float(sums.std(ddof=1))
     if sd == 0.0:
         raise ValueError("degenerate variance: all block sums are equal")
     z = (sums - mean) / sd
-    return BlockSample(
-        block_size,
-        count,
-        tuple(float(t) for t in sums),
-        tuple(float(v) for v in z),
-        mean,
-        sd,
-    )
+    return BlockSample(block_size, len(sums), tuple(sums.tolist()), tuple(z.tolist()), mean, sd)
+
+
+def block_standardize(table: ValueTable, n: int, block_size: int) -> BlockSample:
+    """Disjoint block sums T_j of f(1..n) and their studentized values (T_j - mean)/sd."""
+    return block_sample(table.kind, n, block_size, table.segments(n))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,11 @@ class ValueTable:
             raise ValueError(f"table [{self.lo}, {self.hi}] does not cover [1, {n}]")
         return self.values[:n]
 
+    def segments(self, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """`prefix(n)` as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
+        values, step = self.prefix(n), DEFAULT_SEGMENT_SIZE
+        return ((lo, min(lo + step - 1, n), values[lo - 1 : lo - 1 + step]) for lo in range(1, n + 1, step))
+
 
 def prime_flags_upto(limit: int) -> np.ndarray:
     """Dense primality flags for 0..limit (plain Eratosthenes)."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -310,3 +311,29 @@ def test_byte_identical_reruns(tmp_path):
             assert run(args + ["--output", str(a)]) == 0
             assert run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, command, n, bytes_per_value",
+    [
+        ("moebius", "stats", 2**25, 0.5),
+        ("moebius", "normality", 2**25, 0.5),
+        ("von_mangoldt", "normality", 2**23, 4),
+    ],
+)
+def test_streamed_subcommands_peak_memory(tmp_path, kind, command, n, bytes_per_value):
+    """`stats` and `normality` read the segment stream and hold no table of [1, n].
+
+    A table costs 1 B per moebius value and 8 B per von Mangoldt value.  The
+    stream holds a few 2^20-value segments: for von Mangoldt's float64 ones,
+    the segment being read, the one being sieved and the kernel's float64
+    working array, about 3 B per value at 2^23.
+    """
+    argv = [command, "--kind", kind, "--n", str(n), "--output", str(tmp_path / "out.json")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_value * n, f"{peak / n:.2f} bytes per value"

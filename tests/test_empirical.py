@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.empirical import empirical_cdf, moments
-from sievestats.sieves import ValueTable
+from sievestats.empirical import empirical_cdf, moments, value_counts
+from sievestats.sieves import ValueTable, iter_segments
 
 
 def test_prime_moments_ten():
@@ -37,6 +37,17 @@ def test_value_counts_match_np_unique(mu_table, pw_table):
         assert cdf.support == tuple(int(u) for u in uniq)
         assert cdf.counts == tuple(int(c) for c in counts)
         assert moments(table, n).histogram == dict(zip(cdf.support, cdf.counts))
+
+
+@pytest.mark.parametrize("kind", [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
+                                  ss.PARITY_WEIGHT, ss.omega_equals(2), ss.VON_MANGOLDT], ids=str)
+def test_value_counts_over_segments_match_np_unique(kind):
+    """Counts merged over 977-value segments equal one `np.unique` of the whole table."""
+    n = 10**5
+    uniq, counts = np.unique(ss.sieve_table(kind, 1, n).values, return_counts=True)
+    got_uniq, got_counts = value_counts(kind, iter_segments(kind, 1, n, segment_size=977))
+    assert got_uniq.tolist() == uniq.tolist()  # von Mangoldt's floats bit for bit
+    assert got_counts.tolist() == counts.tolist()
 
 
 def test_values_outside_the_alphabet_are_refused():

@@ -115,8 +115,8 @@ def segment_calls(monkeypatch):
             raise _SieveRoute
         return real(kind, lo, hi, **kwargs)
 
-    monkeypatch.setattr(sieves, "iter_segments", spy)
-    monkeypatch.setattr(sums, "iter_segments", spy)
+    for module in (sieves, sums, deviation):
+        monkeypatch.setattr(module, "iter_segments", spy)
     return calls
 
 

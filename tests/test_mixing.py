@@ -311,6 +311,8 @@ def mu_table_2e23():
          4),
         ("moments", lambda t: ss.moments(t, MEMORY_N), 2),
         ("empirical_cdf", lambda t: ss.empirical_cdf(t, MEMORY_N), 2),
+        # 3/8 B of bitsets; comparing the whole array at once adds 1 B of bools.
+        ("PairCounts", lambda t: mixing.PairCounts(t.values, ss.MOEBIUS.alphabet()), 0.6),
     ],
 )
 def test_finite_alphabet_statistics_peak_memory(mu_table_2e23, name, call, bytes_per_value):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats.normality import normal_cdf, squarefree_parity_weight_moments
-from sievestats.sieves import ValueTable
+from sievestats.normality import block_sums, normal_cdf, squarefree_parity_weight_moments
+from sievestats.sieves import ValueTable, iter_segments
+
+INTEGER_KINDS = [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
+                 ss.PARITY_WEIGHT, ss.omega_equals(2)]
 
 
 def test_binomial_variance_example():
@@ -77,6 +80,25 @@ def test_block_standardize_moments_invariant(mu_table):
     assert blocks.block_count == 1000
     assert abs(z.mean()) < 1e-12
     assert abs(z.std(ddof=1) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", INTEGER_KINDS, ids=str)
+@pytest.mark.parametrize("segment_size, n", [(977, 10**5), (2**20, 2**20 + 10**5)])
+def test_block_sums_carry_straddling_blocks_exactly(kind, segment_size, n):
+    """Block sums over sieve segments equal the reshape of the whole array.
+
+    1000-value blocks straddle 977-value segments, and both block sizes
+    straddle the 2^20 boundary.  977-value blocks line up with 977-value
+    segments, and the last of those segments lies wholly past the last block.
+    """
+    segments = list(iter_segments(kind, 1, n, segment_size=segment_size))
+    values = np.concatenate([vals for _, _, vals in segments])
+    for block_size in (977, 1000):
+        count = n // block_size
+        expected = values[: count * block_size].reshape(count, block_size).sum(axis=1)
+        got = block_sums(kind, n, block_size, iter(segments))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected), block_size
 
 
 def test_block_standardize_degenerate_variance():

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 78 CLI commands and keep every output.
+"""Run a fixed matrix of 82 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
 sparse checkpoints to 2*10^7 for the 5 kinds with prefix-sum identities; the
 counting, exponent and variance-growth deviation modes (with trajectories
 where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
-across 2^20-value segment boundaries; `dependence` with its report at
+across 2^20-value segment boundaries; `stats` and `normality` (with the
+blocks CSV, 977-value blocks straddling segments) on moebius and von
+Mangoldt at 3*10^6; `dependence` with its report at
 3*10^6, at lags that shift the joint counts by whole and partial 64-bit
 words; riemann-check; ergodic; oeis-check on both vendored b-files; a table
 cache miss followed by a hit; and 15 inputs that must be refused (exit
@@ -112,6 +114,13 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("oeis-check_squarefree", ["oeis-check", "--kind", "squarefree_indicator",
                                    "--bfile", str(ROOT / "tests/data/squarefree_count.txt")]),
     ]
+    for kind in ("moebius", "von_mangoldt"):
+        name = f"normality_{kind}_multi_segment"
+        cmds += [
+            (f"stats_{kind}_multi_segment", ["stats", "--kind", kind, "--n", "3000000"]),
+            (name, ["normality", "--kind", kind, "--n", "3000000", "--block-size", "977",
+                    "--blocks-csv", str(out / f"{name}.blocks.csv")]),
+        ]
     cache = ["table", "--kind", "moebius", "--lo", str(N - 99_999), "--hi", n,
              "--workers", "2", "--cache-dir", str(out / "cache")]
     cmds += [("table_cache_miss", cache), ("table_cache_hit", cache)]
