@@ -147,13 +147,12 @@ def _cmd_dependence(args) -> int:
     elif args.checkpoints is not None:
         raise ValueError("--checkpoints is only read with --report")
     empirical.check_cdf_range(kind, args.n)
-    values = sieve_table(kind, 1, args.n, workers=args.workers).values
-    # One pair-count object over [1, n] serves the CSV rows and the report.
-    pairs = mixing.PairCounts(values, kind.alphabet())
+    segments = iter_segments(kind, 1, args.n, workers=args.workers)
+    pairs = mixing.PairCounts(args.n, segments, kind.alphabet())  # for the CSV rows and the report
     alpha = [pairs.alpha(h) if kind.alphabet() else float("nan") for h in lags]
     _emit(_csv_text("lag,r_hat,alpha_hat", zip(lags, pairs.covariances(lags), alpha)), args.output)
     if args.report is not None:
-        report = mixing.report_from_pairs(kind, checkpoints, values, pairs)
+        report = mixing.report_from_pairs(kind, checkpoints, pairs)
         _emit(_json_text(report), args.report)
     return 0
 

@@ -30,8 +30,6 @@ COVARIANCE_MIN_LAG = 10
 
 EVENT_FAMILY = "single-coordinate value subsets"
 
-PACK_CHUNK = 1 << 20  # values packed at a time by `_value_bits`; a multiple of 64
-
 
 @dataclass(frozen=True)
 class CovarianceSequence:
@@ -54,80 +52,97 @@ def validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
     return out
 
 
-def _value_bits(values: np.ndarray, alphabet) -> tuple[list[np.ndarray], np.ndarray]:
+def _value_bits(n: int, segments, alphabet) -> tuple[list[np.ndarray], np.ndarray]:
     """Per alphabet value, the bitset of positions holding it, and each value's count.
 
-    A bitset is little-endian uint64 words (position k is bit k % 64 of word
-    k // 64) ending in at least one zero word, so a shift never reads past
-    its end.  Refuses values outside the alphabet.
+    Packed from ascending (lo, hi, values) segments covering [1, n]: position
+    k is bit k % 64 of little-endian uint64 word k // 64, and each bitset ends
+    in at least one zero word, so a shift never reads past its end.  A segment
+    starting inside a byte ORs its first values into that byte's zero high
+    bits, then packs onto whole bytes.  Refuses values outside the alphabet.
     """
-    n = len(values)
-    bits = [np.zeros(-(-n // 64) + 1, dtype="<u8") for _ in alphabet]
-    hits = np.empty(min(n, PACK_CHUNK), dtype=bool)
-    for start in range(0, n, PACK_CHUNK):
-        chunk = values[start : start + PACK_CHUNK]
+    bits, hits = [np.zeros(-(-n // 64) + 1, dtype="<u8") for _ in alphabet], np.empty(0, dtype=bool)
+    for lo, _, values in segments:
+        if len(hits) < len(values):  # one buffer, reused by every segment
+            hits = np.empty(len(values), dtype=bool)
+        k, head = lo - 1, -(lo - 1) % 8
         for a, b in zip(alphabet, bits):
             # Compared in the values' own dtype, so a stray value matches nothing.
-            packed = np.packbits(np.equal(chunk, a, out=hits[: len(chunk)]), bitorder="little")
-            b.view(np.uint8)[start // 8 : start // 8 + len(packed)] = packed
+            eq, out = np.equal(values, a, out=hits[: len(values)]), b.view(np.uint8)
+            if head:
+                out[k // 8] |= np.packbits(eq[:head], bitorder="little")[0] << (k % 8)
+            packed = np.packbits(eq[head:], bitorder="little")
+            out[-(-k // 8) : -(-k // 8) + len(packed)] = packed
     counts = np.array([int(np.bitwise_count(b).sum()) for b in bits], dtype=np.int64)
     if int(counts.sum()) != n:
         raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
     return bits, counts
 
 
-def _lag_counts(bits: list[np.ndarray], lag: int) -> np.ndarray:
-    """J[i, j] = #{k : f(k) = alphabet[i], f(k + lag) = alphabet[j]} from `_value_bits`."""
+def _lag_counts(bits: list[np.ndarray], lag: int, start: int, stop: int) -> np.ndarray:
+    """J[i, j] = #{k in [start, end) : f(k) = alphabet[i], f(k + lag) = alphabet[j]}, where
+    end = stop - lag > start: the pairs inside positions [start, stop) of `_value_bits` bitsets."""
     q, r = divmod(lag, 64)
-    words = len(bits[0]) - 1 - q
+    end = stop - lag
+    w0, w1 = start // 64, -(-end // 64)
     joint = np.empty((len(bits), len(bits)), dtype=np.int64)
-    both = np.empty(words, dtype=np.uint64)
+    ahead, both = np.empty(w1 - w0, dtype=np.uint64), np.empty(w1 - w0, dtype=np.uint64)
     for j, b in enumerate(bits):
-        # Bit k of `ahead` is bit k + lag of b: a word shift plus an r-bit carry.
-        ahead = b[q : q + words] >> r
+        # Bit k of `ahead` is bit k + lag of b: a word shift plus an r-bit carry,
+        # then cleared outside [start, end) in the first and last word.
+        np.right_shift(b[w0 + q : w1 + q], r, out=ahead)
         if r:
-            ahead |= b[q + 1 : q + 1 + words] << (64 - r)
+            ahead |= np.left_shift(b[w0 + q + 1 : w1 + q + 1], 64 - r, out=both)
+        ahead[0] &= (1 << 64) - (1 << (start % 64))
+        ahead[-1] &= (1 << (end % 64 or 64)) - 1
         for i, a in enumerate(bits):
-            np.bitwise_and(a[:words], ahead, out=both)
+            np.bitwise_and(a[w0:w1], ahead, out=both)
             joint[i, j] = int(np.bitwise_count(both).sum())
     return joint
 
 
 class PairCounts:
-    """One value array's lagged pair statistics: packed once, each lag counted once.
+    """Lagged pair statistics of f on [1, n]: packed once, each (lag, range) counted once.
 
-    A finite alphabet is packed by `_value_bits`, and `joint(lag)` counts J_lag
-    with `_lag_counts` when first asked for, then keeps it.  Without an alphabet
-    (von Mangoldt) the float values are kept for `empirical_autocovariance`.
+    Reads ascending (lo, hi, values) segments covering [1, n].  A finite alphabet
+    is packed by `_value_bits`; `joint(lag, start, stop)` counts J_lag on positions
+    [start, stop) with `_lag_counts` when first asked for, then keeps it.  Von
+    Mangoldt's floats are copied into one array, kept as the slices read in `segments`.
     """
 
-    def __init__(self, values: np.ndarray, alphabet):
-        self.n, self.alphabet = len(values), alphabet
+    def __init__(self, n: int, segments, alphabet):
+        self.n, self.alphabet = n, alphabet
         if alphabet is None:
-            self.values = np.asarray(values, dtype=np.float64)
+            self.values, self.segments = np.empty(n, dtype=np.float64), []
+            for lo, hi, vals in segments:
+                self.values[lo - 1 : hi] = vals
+                self.segments.append((lo, hi, self.values[lo - 1 : hi]))
             self.mean = float(self.values.mean())
             return
-        self.bits, self.counts = _value_bits(values, alphabet)
+        self.bits, self.counts = _value_bits(n, segments, alphabet)
         self.a = np.array(alphabet, dtype=np.int64)
-        self.mean = int(self.a @ self.counts) / self.n
-        self._joint: dict[int, np.ndarray] = {}
+        self.mean = int(self.a @ self.counts) / n
+        self._joint: dict[tuple[int, int, int], np.ndarray] = {}
 
-    def joint(self, lag: int) -> np.ndarray:
-        if lag not in self._joint:
-            self._joint[lag] = _lag_counts(self.bits, lag)
-        return self._joint[lag]
+    def joint(self, lag: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        key = (lag, start, stop or self.n)
+        if key not in self._joint:
+            self._joint[key] = _lag_counts(self.bits, *key)
+        return self._joint[key]
 
-    def covariances(self, lags) -> list[float]:
-        """Centered covariances: cross = a.J.a, head and tail sums from J's rows and columns."""
+    def covariances(self, lags, start: int = 0, stop: int | None = None) -> list[float]:
+        """Centered covariances on [start, stop): cross = a.J.a, head and tail sums from J."""
         if self.alphabet is None:
-            return empirical_autocovariance(self.values, lags).tolist()
-        a, n, mean = self.a, self.n, self.mean
+            return empirical_autocovariance(self.values[start:stop], lags).tolist()
+        n, a = (stop or self.n) - start, self.a
+        counts = self.counts if n == self.n else np.diag(self.joint(0, start, stop))
+        mean = int(a @ counts) / n
         out = []
         for h in lags:
             if h == 0:
-                out.append(max(int(a * a @ self.counts) / n - mean * mean, 0.0))
+                out.append(max(int(a * a @ counts) / n - mean * mean, 0.0))
                 continue
-            joint = self.joint(h)
+            joint = self.joint(h, start, stop)
             heads_tails = int(a @ joint.sum(axis=1)) + int(a @ joint.sum(axis=0))
             out.append((int(a @ joint @ a) - mean * heads_tails) / (n - h) + mean * mean)
         return out
@@ -149,7 +164,7 @@ class PairCounts:
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
     lags = validate_lags(lags, n, minimum=0)
-    pairs = PairCounts(table.prefix(n), table.kind.alphabet())
+    pairs = PairCounts(n, table.segments(n), table.kind.alphabet())
     return CovarianceSequence(n, tuple(lags), tuple(pairs.covariances(lags)), pairs.mean)
 
 
@@ -168,7 +183,7 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    return PairCounts(table.prefix(n), alphabet).gap(lag, b1, b2)
+    return PairCounts(n, table.segments(n), alphabet).gap(lag, b1, b2)
 
 
 @dataclass(frozen=True)
@@ -184,9 +199,8 @@ def alpha_hat(table: ValueTable, n: int, lags) -> MixingEstimate:
     alphabet = table.kind.alphabet()
     if alphabet is None:
         raise ValueError("mixing estimates require a finite-alphabet kind")
-    values = table.prefix(n)
-    lags = validate_lags(lags, n, minimum=1)
-    pairs = PairCounts(values, alphabet)
+    segments, lags = table.segments(n), validate_lags(lags, n, minimum=1)
+    pairs = PairCounts(n, segments, alphabet)
     return MixingEstimate(n, tuple(lags), tuple(pairs.alpha(h) for h in lags))
 
 
@@ -228,18 +242,20 @@ def stationarity_report(
     cps = validate_checkpoints(checkpoints, n)
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
-    vals = table.prefix(n)
-    return report_from_pairs(kind, cps, vals, PairCounts(vals, kind.alphabet()))
+    return report_from_pairs(kind, cps, PairCounts(n, table.segments(n), kind.alphabet()))
 
 
-def report_from_pairs(kind: FunctionKind, cps, vals: np.ndarray, pairs) -> StationarityReport:
+def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> StationarityReport:
     """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
-    n = len(vals)
-
-    # Sliced as `iter_segments` slices [1, n], so von Mangoldt's float
-    # trajectory matches `accumulate` bit for bit.
-    segments = ValueTable(kind, 1, n, vals).segments(n)
-    traj = [s / c for c, s in zip(cps, checkpoint_sums(kind, cps, segments))]
+    n = pairs.n
+    if pairs.alphabet is None:  # the slices read, so the Kahan carry matches `accumulate`
+        sums = checkpoint_sums(kind, cps, pairs.segments)
+    else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up
+        word, bit = np.divmod(np.array(cps, dtype=np.uint64), np.uint64(64))
+        sums = sum(a * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]
+                        - np.bitwise_count(b[word] & (~np.uint64(0) << bit)))
+                   for a, b in zip(pairs.alphabet, pairs.bits)).tolist()
+    traj = [s / c for c, s in zip(cps, sums)]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]
     tail_osc = max(abs(v - c_limit) for v in tail)
@@ -253,13 +269,13 @@ def report_from_pairs(kind: FunctionKind, cps, vals: np.ndarray, pairs) -> Stati
     if window >= 2:
         win_lags = [h for h in lags if h < window / 2]
         for w in range(REPORT_WINDOWS):
-            seg = PairCounts(vals[w * window : (w + 1) * window], pairs.alphabet)
-            for rw, rg in zip(seg.covariances(win_lags), r_global):
+            r_window = pairs.covariances(win_lags, w * window, (w + 1) * window)
+            for rw, rg in zip(r_window, r_global):
                 stability = max(stability, abs(rw - rg))
 
     bound = kind.value_bound()
     bounded = bound is not None
-    value_bound = float(bound) if bounded else float(np.max(np.abs(vals)))
+    value_bound = float(bound) if bounded else float(np.max(np.abs(pairs.values)))
 
     mean_threshold = MEAN_TOLERANCE * (1.0 + abs(c_limit))
     cov_threshold = COVARIANCE_FACTOR * r0 / math.sqrt(n)

@@ -162,8 +162,7 @@ def _signature_sign(
 def _von_mangoldt_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     lam = np.zeros(hi - lo + 1, dtype=np.float64)
     flags = _prime_flags_segment(lo, hi, primes)
-    nvals = np.arange(lo, hi + 1, dtype=np.float64)
-    lam[flags] = np.log(nvals[flags])
+    lam[flags] = np.log(np.flatnonzero(flags) + lo)
     # Proper prime powers p^k (k >= 2) in range all have p <= sqrt(hi).
     for p in primes.tolist():
         power = p * p

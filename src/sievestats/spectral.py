@@ -192,13 +192,14 @@ def empirical_autocovariance(x: np.ndarray, lags, center: bool = True) -> np.nda
     x = np.asarray(x)
     n = len(x)
     xc = x - x.mean() if center else x
+    xc_conj = np.conj(xc) if np.iscomplexobj(xc) else xc  # conj copies, so only when complex
     out = []
     for h in lags:
         h = int(h)
         if not 0 <= h < n:
             raise ValueError(f"lag {h} outside [0, {n})")
         m = n - h
-        out.append(np.dot(xc[h:], np.conj(xc[:m])) / m)
+        out.append(np.dot(xc[h:], xc_conj[:m]) / m)
     result = np.array(out)
     return result.real if not np.iscomplexobj(x) else result
 

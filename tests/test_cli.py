@@ -319,17 +319,23 @@ def test_byte_identical_reruns(tmp_path):
         ("moebius", "stats", 2**25, 0.5),
         ("moebius", "normality", 2**25, 0.5),
         ("von_mangoldt", "normality", 2**23, 4),
+        ("moebius", "dependence", 2**25, 1),
+        ("von_mangoldt", "dependence", 2**23, 17),
     ],
 )
 def test_streamed_subcommands_peak_memory(tmp_path, kind, command, n, bytes_per_value):
-    """`stats` and `normality` read the segment stream and hold no table of [1, n].
+    """`stats`, `normality` and `dependence --report` read the segment stream.
 
-    A table costs 1 B per moebius value and 8 B per von Mangoldt value.  The
-    stream holds a few 2^20-value segments: for von Mangoldt's float64 ones,
-    the segment being read, the one being sieved and the kernel's float64
-    working array, about 3 B per value at 2^23.
+    A table costs 1 B per moebius value and 8 B per von Mangoldt value.
+    `stats` and `normality` hold no table, only a few 2^20-value segments:
+    for von Mangoldt's float64 ones, the segment being read and the one being
+    sieved, about 2 B per value at 2^23.  Moebius `dependence` holds 3/8 B of
+    bitsets and counts a lag with two more bitset-sized words; von Mangoldt
+    `dependence` holds its 8 B float values and their 8 B centered copy.
     """
     argv = [command, "--kind", kind, "--n", str(n), "--output", str(tmp_path / "out.json")]
+    if command == "dependence":
+        argv += ["--report", str(tmp_path / "report.json")]
     tracemalloc.start()
     try:
         assert run(argv) == 0

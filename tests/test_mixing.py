@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import sievestats as ss
-from sievestats import cli, mixing
+from sievestats import cli, mixing, sums
 from sievestats.mixing import DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _value_bits
-from sievestats.sieves import ValueTable
+from sievestats.sieves import ValueTable, iter_segments
 
 
 def enumeration_gap(values, lag, b1, b2):
@@ -31,15 +31,33 @@ def seeded_values(alphabet, n, seed):
 @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-1, 0, 2)])
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
 def test_lag_counts_match_bincount_at_every_lag(alphabet, n):
+    """Every lag on [0, n) and on ranges [start, stop) whose ends sit inside words."""
     values = seeded_values(alphabet, n, seed=n)
     size = len(alphabet)
     codes = np.searchsorted(alphabet, values).astype(np.int64)
-    bits, counts = _value_bits(values, alphabet)
+    bits, counts = _value_bits(n, [(1, n, values)], alphabet)
     assert counts.tolist() == np.bincount(codes, minlength=size).tolist()
-    for lag in range(n):
-        pairs = codes[: n - lag] * size + codes[lag:]
-        expected = np.bincount(pairs, minlength=size * size).reshape(size, size)
-        assert _lag_counts(bits, lag).tolist() == expected.tolist(), lag
+    ends = sorted({0, 1, 3, 63, 64, 65, 100, 127, 129, n - 1, n} & set(range(n + 1)))
+    for start, stop in [(a, b) for a in ends for b in ends if a < b]:
+        window = codes[start:stop]
+        for lag in range(stop - start):
+            pairs = window[: len(window) - lag] * size + window[lag:]
+            expected = np.bincount(pairs, minlength=size * size).reshape(size, size)
+            assert _lag_counts(bits, lag, start, stop).tolist() == expected.tolist(), (start, stop, lag)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-1, 0, 2)])
+@pytest.mark.parametrize("size", [1, 3, 8, 64, 977])
+def test_packing_segments_matches_packing_one_segment(alphabet, size):
+    """Segments starting inside bytes and words give the same bitsets as one segment."""
+    n = 5000
+    values = seeded_values(alphabet, n, seed=size)
+    segments = [(lo, min(lo + size - 1, n), values[lo - 1 : lo - 1 + size]) for lo in range(1, n + 1, size)]
+    bits, counts = _value_bits(n, segments, alphabet)
+    whole_bits, whole_counts = _value_bits(n, [(1, n, values)], alphabet)
+    assert counts.tolist() == whole_counts.tolist()
+    for b, whole in zip(bits, whole_bits):
+        assert b.tolist() == whole.tolist()
 
 
 @pytest.mark.parametrize("position", [63, 64, 65])
@@ -224,28 +242,39 @@ def test_alpha_iid_bernoulli_decays_like_sampling_noise():
 
 
 def test_dependence_report_packs_each_array_once_and_counts_each_lag_once(monkeypatch, tmp_path):
-    """`dependence --report` shares one [1, n] pair-count object between the CSV and the report."""
-    n = 10**5
-    packed, counted = [], []
+    """`dependence --report` reads [1, n] once, packs it once, and the CSV rows,
+    the windows and the trajectory count on the same bitsets."""
+    n = 10**5 + 3
+    streamed, packed, counted = [], [], []
 
-    def value_bits(values, alphabet):
-        bits, counts = _value_bits(values, alphabet)
-        packed.append((len(values), bits))  # kept alive, so no id is reused
-        return bits, counts
+    def stream(kind, lo, hi, **kwargs):
+        streamed.append((str(kind), lo, hi))
+        return iter_segments(kind, lo, hi, **kwargs)
 
-    def lag_counts(bits, lag):
-        counted.append((id(bits), lag))
-        return _lag_counts(bits, lag)
+    def value_bits(n, segments, alphabet):
+        packed.append(n)
+        return _value_bits(n, segments, alphabet)
 
+    def lag_counts(bits, lag, start, stop):
+        counted.append((lag, start, stop))
+        return _lag_counts(bits, lag, start, stop)
+
+    for module in (cli, sums):
+        monkeypatch.setattr(module, "iter_segments", stream)
     monkeypatch.setattr(mixing, "_value_bits", value_bits)
     monkeypatch.setattr(mixing, "_lag_counts", lag_counts)
     argv = ["dependence", "--kind", "moebius", "--n", str(n), "--lags", "1..20,64",
             "--report", str(tmp_path / "report.json"), "--output", str(tmp_path / "dep.csv")]
     assert cli.run(argv) == 0
-    assert [size for size, _ in packed] == [n] + [n // REPORT_WINDOWS] * REPORT_WINDOWS
+    assert streamed == [("moebius", 1, n)]
+    assert packed == [n]
     assert len(counted) == len(set(counted))
-    assert {lag for bits, lag in counted if bits == id(packed[0][1])} == {
+    assert {lag for lag, start, stop in counted if (start, stop) == (0, n)} == {
         *range(1, 21), 64, *(h for h in DEFAULT_REPORT_LAGS if h < n / 2)
+    }
+    window = n // REPORT_WINDOWS
+    assert {(start, stop) for _, start, stop in counted} >= {
+        (w * window, (w + 1) * window) for w in range(REPORT_WINDOWS)
     }
 
 
@@ -293,6 +322,17 @@ def test_stationarity_von_mangoldt_trajectory_matches_accumulate():
     assert report.mean_trajectory == tuple(s / c for c, s in zip(cps, sums))
 
 
+@pytest.mark.parametrize("kind", [ss.MOEBIUS, ss.PARITY_WEIGHT, ss.TWIN_PRIME, ss.LIOUVILLE])
+def test_stationarity_trajectory_matches_accumulate_at_word_edges(kind):
+    # The finite-alphabet trajectory takes S(c) from word popcounts, masking
+    # checkpoint c's own word below bit c % 64.
+    n = 10**5 + 3
+    cps = [1, 2, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 99968, n - 1, n]
+    report = ss.stationarity_report(kind, n, cps, table=ss.sieve_table(kind, 1, n))
+    sums = ss.accumulate(kind, n, cps).sums
+    assert report.mean_trajectory == tuple(s / c for c, s in zip(cps, sums))
+
+
 MEMORY_N = 2**23
 
 
@@ -311,8 +351,8 @@ def mu_table_2e23():
          4),
         ("moments", lambda t: ss.moments(t, MEMORY_N), 2),
         ("empirical_cdf", lambda t: ss.empirical_cdf(t, MEMORY_N), 2),
-        # 3/8 B of bitsets; comparing the whole array at once adds 1 B of bools.
-        ("PairCounts", lambda t: mixing.PairCounts(t.values, ss.MOEBIUS.alphabet()), 0.6),
+        # 3/8 B of bitsets, and one segment's bools at a time.
+        ("PairCounts", lambda t: mixing.PairCounts(MEMORY_N, t.segments(MEMORY_N), ss.MOEBIUS.alphabet()), 0.6),
     ],
 )
 def test_finite_alphabet_statistics_peak_memory(mu_table_2e23, name, call, bytes_per_value):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 82 CLI commands and keep every output.
+"""Run a fixed matrix of 84 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -8,13 +8,14 @@ counting, exponent and variance-growth deviation modes (with trajectories
 where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
 across 2^20-value segment boundaries; `stats` and `normality` (with the
 blocks CSV, 977-value blocks straddling segments) on moebius and von
-Mangoldt at 3*10^6; `dependence` with its report at
-3*10^6, at lags that shift the joint counts by whole and partial 64-bit
-words; riemann-check; ergodic; oeis-check on both vendored b-files; a table
-cache miss followed by a hit; and 15 inputs that must be refused (exit
-status 2, one error line, no output file).  Each command writes its outputs
-under OUTDIR, and `exit_codes.txt` records every exit status and
-error line, so running this on two checkouts and comparing
+Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
+shift the joint counts by whole and partial 64-bit words, and at
+n = 3000001 on von Mangoldt and twin primes, whose report windows start and
+end inside 64-bit words; riemann-check; ergodic; oeis-check on both
+vendored b-files; a table cache miss followed by a hit; and 15 inputs that
+must be refused (exit status 2, one error line, no output file).  Each
+command writes its outputs under OUTDIR, and `exit_codes.txt` records every
+exit status and error line, so running this on two checkouts and comparing
 
     python3 tools/cli_outputs.py /tmp/before   # on the old checkout
     python3 tools/cli_outputs.py /tmp/after    # on the new checkout
@@ -114,6 +115,11 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("oeis-check_squarefree", ["oeis-check", "--kind", "squarefree_indicator",
                                    "--bfile", str(ROOT / "tests/data/squarefree_count.txt")]),
     ]
+    for kind in ("von_mangoldt", "twin_prime_indicator"):
+        name = f"dependence_{kind}_multi_segment"
+        cmds.append((name, ["dependence", "--kind", kind, "--n", "3000001",
+                            "--lags", "1..5,63,64,65,1000", "--workers", "2",
+                            "--report", str(out / f"{name}.report.json")]))
     for kind in ("moebius", "von_mangoldt"):
         name = f"normality_{kind}_multi_segment"
         cmds += [
