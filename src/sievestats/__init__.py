@@ -70,7 +70,7 @@ from .spectral import (
     sample_spectral,
     theoretical_covariance,
 )
-from .sums import SummationSeries, accumulate, mertens, prefix_sums
+from .sums import SummationSeries, accumulate, mertens
 
 __version__ = "0.1.0"
 
@@ -125,7 +125,6 @@ __all__ = [
     "oracle_value",
     "parse_bfile",
     "parse_kind",
-    "prefix_sums",
     "psi",
     "read_bfile",
     "sample_moving_average",

@@ -10,7 +10,9 @@ when every requested check passes and nonzero otherwise.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import deviation as dev
-from . import empirical, mixing, normality, oeis, spectral
+from . import empirical, mixing, normality, oeis, sieves, spectral
 from .kinds import FunctionKind, parse_kind
-from .sieves import iter_segments, read_table_csv, sieve_table, table_text, write_table_csv
+from .sieves import iter_segments
 from .sums import accumulate, validate_checkpoints
 
 
@@ -32,11 +34,14 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _emit(text: str, output: str) -> None:
+def _emit(text, output: str) -> None:
+    """Write `text`, one str or an iterable of str pieces, to `output` ("-" for stdout)."""
+    pieces = [text] if isinstance(text, str) else text
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(output).write_text(text, newline="\n")
+        with open(output, "w", newline="\n") as fh:
+            fh.writelines(pieces)
 
 
 def _csv_text(header: str, rows) -> str:
@@ -95,25 +100,26 @@ def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
 
 
 def _cmd_table(args) -> int:
-    kind = parse_kind(args.kind)
-    if args.cache_dir is None:
-        table = sieve_table(kind, args.lo, args.hi, workers=args.workers)
-        _emit(table_text(table), args.output)
+    kind, lo, hi = parse_kind(args.kind), args.lo, args.hi
+    sieves.validate_range(lo, hi, segment_size=sieves.DEFAULT_SEGMENT_SIZE)
+    cache = None if args.cache_dir is None else Path(args.cache_dir) / f"{kind}_{lo}_{hi}.csv"
+    if cache is not None and cache.exists():
+        with open(cache) as fh:
+            *found, segments = sieves.read_table_segments(fh)
+            if found != [kind, lo, hi]:
+                found = ",".join(map(str, found))
+                raise ValueError(f"cache file {cache} holds {found}, not {kind},{lo},{hi}")
+            collections.deque(segments, maxlen=0)  # every value and the count, before any output
+            fh.seek(0)
+            _emit(iter(functools.partial(fh.read, 1 << 20), ""), args.output)
         return 0
-    cache = Path(args.cache_dir) / f"{kind}_{args.lo}_{args.hi}.csv"
-    if cache.exists():
-        table = read_table_csv(cache)
-        if (table.kind, table.lo, table.hi) != (kind, args.lo, args.hi):
-            raise ValueError(
-                f"cache file {cache} holds {table.kind},{table.lo},{table.hi},"
-                f" not {kind},{args.lo},{args.hi}"
-            )
-        text = table_text(table)
-    else:
-        table = sieve_table(kind, args.lo, args.hi, workers=args.workers)
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        text = write_table_csv(table, cache)
-    _emit(text, args.output)
+    pieces = sieves.table_pieces(kind, lo, hi, iter_segments(kind, lo, hi, workers=args.workers))
+    if cache is None:
+        _emit(pieces, args.output)
+        return 0
+    cache.parent.mkdir(parents=True, exist_ok=True)
+    with sieves.atomic_writer(cache) as fh:
+        _emit((piece for piece in pieces if fh.write(piece)), args.output)  # to the cache, then out
     return 0
 
 

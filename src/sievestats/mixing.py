@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .kinds import FunctionKind
-from .sieves import ValueTable
+from .kinds import VON_MANGOLDT, FunctionKind
+from .sieves import ValueTable, table_from_segments
 from .spectral import empirical_autocovariance
 from .sums import checkpoint_sums, validate_checkpoints
 
@@ -107,16 +107,13 @@ class PairCounts:
     Reads ascending (lo, hi, values) segments covering [1, n].  A finite alphabet
     is packed by `_value_bits`; `joint(lag, start, stop)` counts J_lag on positions
     [start, stop) with `_lag_counts` when first asked for, then keeps it.  Von
-    Mangoldt's floats are copied into one array, kept as the slices read in `segments`.
+    Mangoldt's floats are filled into one array by `table_from_segments`.
     """
 
     def __init__(self, n: int, segments, alphabet):
         self.n, self.alphabet = n, alphabet
         if alphabet is None:
-            self.values, self.segments = np.empty(n, dtype=np.float64), []
-            for lo, hi, vals in segments:
-                self.values[lo - 1 : hi] = vals
-                self.segments.append((lo, hi, self.values[lo - 1 : hi]))
+            self.values = table_from_segments(VON_MANGOLDT, 1, n, segments).values
             self.mean = float(self.values.mean())
             return
         self.bits, self.counts = _value_bits(n, segments, alphabet)
@@ -161,10 +158,16 @@ class PairCounts:
         return max((self.gap(lag, s1, s2) for s1 in subsets for s2 in subsets), default=0.0)
 
 
+def _table_pairs(table: ValueTable, n: int) -> PairCounts:
+    """`PairCounts` of `table` on [1, n]; von Mangoldt's `prefix(n)` is read as one segment, uncopied."""
+    alphabet = table.kind.alphabet()
+    return PairCounts(n, table.segments(n) if alphabet else [(1, n, table.prefix(n))], alphabet)
+
+
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
     lags = validate_lags(lags, n, minimum=0)
-    pairs = PairCounts(n, table.segments(n), table.kind.alphabet())
+    pairs = _table_pairs(table, n)
     return CovarianceSequence(n, tuple(lags), tuple(pairs.covariances(lags)), pairs.mean)
 
 
@@ -183,7 +186,7 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    return PairCounts(n, table.segments(n), alphabet).gap(lag, b1, b2)
+    return _table_pairs(table, n).gap(lag, b1, b2)
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,7 @@ def alpha_hat(table: ValueTable, n: int, lags) -> MixingEstimate:
     alphabet = table.kind.alphabet()
     if alphabet is None:
         raise ValueError("mixing estimates require a finite-alphabet kind")
-    segments, lags = table.segments(n), validate_lags(lags, n, minimum=1)
-    pairs = PairCounts(n, segments, alphabet)
+    lags, pairs = validate_lags(lags, n, minimum=1), _table_pairs(table, n)
     return MixingEstimate(n, tuple(lags), tuple(pairs.alpha(h) for h in lags))
 
 
@@ -242,14 +244,14 @@ def stationarity_report(
     cps = validate_checkpoints(checkpoints, n)
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
-    return report_from_pairs(kind, cps, PairCounts(n, table.segments(n), kind.alphabet()))
+    return report_from_pairs(kind, cps, _table_pairs(table, n))
 
 
 def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> StationarityReport:
     """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
     n = pairs.n
-    if pairs.alphabet is None:  # the slices read, so the Kahan carry matches `accumulate`
-        sums = checkpoint_sums(kind, cps, pairs.segments)
+    if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
+        sums = checkpoint_sums(kind, cps, ValueTable(kind, 1, n, pairs.values).segments(n))
     else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up
         word, bit = np.divmod(np.array(cps, dtype=np.uint64), np.uint64(64))
         sums = sum(a * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]

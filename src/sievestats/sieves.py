@@ -12,6 +12,7 @@ cross-check used by the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -253,9 +254,20 @@ def sieve_table(
     workers: int = 1,
 ) -> ValueTable:
     """Materialize f(lo..hi) as a ValueTable, each segment written into one buffer."""
-    validate_range(lo, hi, segment_size=segment_size)
-    values = np.empty(hi - lo + 1, dtype=np.int8 if kind.is_integer_valued else np.float64)
-    for a, b, part in iter_segments(kind, lo, hi, segment_size=segment_size, workers=workers):
+    segments = iter_segments(kind, lo, hi, segment_size=segment_size, workers=workers)
+    return table_from_segments(kind, lo, hi, segments)
+
+
+def table_from_segments(kind: FunctionKind, lo: int, hi: int, segments) -> ValueTable:
+    """f on [lo, hi] from ascending (lo, hi, values) segments covering it, filled into one
+    buffer; a single segment covering [lo, hi] is kept as it is, uncopied."""
+    values = None
+    for a, b, part in segments:
+        if (a, b) == (lo, hi):
+            values = part
+            continue
+        if values is None:
+            values = np.empty(hi - lo + 1, dtype=np.int8 if kind.is_integer_valued else np.float64)
         values[a - lo : b - lo + 1] = part
     return ValueTable(kind, lo, hi, values)
 
@@ -334,53 +346,95 @@ def oracle_value(kind: FunctionKind, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _value_lines(kind: FunctionKind):
+    """The cache line of a value of f, and its inverse, which raises KeyError for any other line.
+    Integers are looked up among one line per alphabet value, von Mangoldt's zeros share
+    one "0" line, and its logs print with 17 significant digits."""
+    alphabet = kind.alphabet()
+    if alphabet is not None:
+        lines = {v: f"{v}\n" for v in alphabet}
+        return lines.__getitem__, {line: v for v, line in lines.items()}.__getitem__
+
+    def line(v: float) -> str:
+        return f"{v:.17g}\n" if v else "0\n"
+
+    def value(line: str) -> float:
+        if line == "0\n":
+            return 0.0
+        with contextlib.suppress(ValueError):
+            if 0 < (v := float(line)) < math.inf and f"{v:.17g}\n" == line:
+                return v
+        raise KeyError(line)
+
+    return line, value
+
+
+def table_pieces(kind: FunctionKind, lo: int, hi: int, segments) -> Iterator[str]:
+    """Cache format of f on [lo, hi]: the header `kind,lo,hi`, then one line per value, as
+    one str per segment of the ascending (lo, hi, values) `segments` covering [lo, hi]."""
+    line = _value_lines(kind)[0]
+    yield f"{kind},{lo},{hi}\n"
+    for _, _, values in segments:
+        yield "".join(map(line, values.tolist()))
+
+
 def table_text(table: ValueTable) -> str:
-    """Cache format: header `kind,lo,hi`, then one value per line.
-
-    Integers print exactly, von Mangoldt values with 17 significant digits.
-    Integer kinds look each value up among one string per alphabet value,
-    so no str is made per value.
-    """
-    values = table.values.tolist()
-    alphabet = table.kind.alphabet()
-    if alphabet is None:
-        lines = (f"{v:.17g}" for v in values)
-    else:
-        lines = map({v: str(v) for v in alphabet}.__getitem__, values)
-    return f"{table.kind},{table.lo},{table.hi}\n" + "\n".join(lines) + "\n"
+    """`table_pieces` of the whole table, joined."""
+    return "".join(table_pieces(table.kind, table.lo, table.hi, [(table.lo, table.hi, table.values)]))
 
 
-def write_table_csv(table: ValueTable, path) -> str:
-    """Write `table_text(table)` to `path` and return that text.
-
-    Written to a temporary file beside `path` and renamed over it, so a
-    write that fails part-way leaves no partial file at `path`.
-    """
-    text = table_text(table)
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A text handle on a temporary file beside `path`, renamed over `path` on a clean exit;
+    on any failure the temporary file is removed, so no partial file is left at `path`."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with open(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_table_csv(table: ValueTable, path) -> str:
+    """Write `table_text(table)` to `path` through `atomic_writer` and return that text."""
+    with atomic_writer(path) as fh:
+        fh.write(text := table_text(table))
     return text
 
 
+def read_table_segments(fh) -> tuple[FunctionKind, int, int, Iterator[tuple[int, int, np.ndarray]]]:
+    """The header (kind, lo, hi) of the open cache file `fh`, read at once, and its values as
+    segments sliced as `iter_segments` slices [lo, hi], read as they are asked for.  Every line
+    must be one `table_pieces` writes, and the file must hold hi - lo + 1 values."""
+    header = fh.readline()
+    fields = header.rstrip("\n").split(",")
+    if len(fields) != 3:
+        raise ValueError(f"bad table header in {fh.name}")
+    kind, lo, hi = parse_kind(fields[0]), int(fields[1]), int(fields[2])
+    if header != f"{kind},{lo},{hi}\n":
+        raise ValueError(f"bad table header in {fh.name}")
+    value, dtype = _value_lines(kind)[1], np.int8 if kind.is_integer_valued else np.float64
+
+    def segments():
+        for a in range(lo, hi + 1, DEFAULT_SEGMENT_SIZE):
+            b = min(a + DEFAULT_SEGMENT_SIZE - 1, hi)
+            try:
+                values = np.fromiter(map(value, itertools.islice(fh, b - a + 1)), dtype)
+            except KeyError as exc:
+                line = exc.args[0]
+                raise ValueError(f"cache file {fh.name} holds {line!r}, outside the {kind} alphabet") from None
+            if len(values) < b - a + 1:
+                raise ValueError(f"cache file {fh.name} ends at {a + len(values) - 1}, before hi={hi}")
+            yield a, b, values
+        if fh.readline():
+            raise ValueError(f"cache file {fh.name} holds more than {hi - lo + 1} values")
+
+    return kind, lo, hi, segments()
+
+
 def read_table_csv(path) -> ValueTable:
+    """The ValueTable a cache file holds, checked line by line by `read_table_segments`."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ValueError(f"bad table header in {path}")
-        kind = parse_kind(header[0])
-        lo, hi = int(header[1]), int(header[2])
-        if kind.is_integer_valued:
-            wide = np.array([int(line) for line in fh], dtype=np.int64)
-            alphabet = kind.alphabet()
-            if not np.isin(wide, alphabet).all():
-                raise ValueError(f"cached values outside the {kind} alphabet {alphabet}")
-            values = wide.astype(np.int8)
-        else:
-            values = np.array([float(line) for line in fh], dtype=np.float64)
-    return ValueTable(kind, lo, hi, values)
+        return table_from_segments(*read_table_segments(fh))

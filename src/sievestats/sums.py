@@ -8,10 +8,7 @@ import numpy as np
 
 from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, sieve_table, validate_range
-
-#: Dense prefix arrays are only materialized below this size.
-PREFIX_ARRAY_LIMIT = 10**7
+from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, validate_range
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,3 @@ def mertens(n: int, **kwargs) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return accumulate(MOEBIUS, n, [n], **kwargs).sums[0]
-
-
-def prefix_sums(
-    kind: FunctionKind,
-    n_max: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> np.ndarray:
-    """Dense S(1..n_max); memory-guarded to n_max <= 10^7 (use accumulate above that)."""
-    if n_max > PREFIX_ARRAY_LIMIT:
-        raise ValueError(
-            f"dense prefix arrays are limited to n_max <= {PREFIX_ARRAY_LIMIT}; use accumulate"
-        )
-    table = sieve_table(kind, 1, n_max, segment_size=segment_size, workers=workers)
-    return np.cumsum(table.values, dtype=np.int64 if kind.is_integer_valued else np.float64)

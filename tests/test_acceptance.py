@@ -37,7 +37,6 @@ from sievestats.normality import normal_cdf
 from sievestats.oeis import read_bfile
 from sievestats.sieves import ValueTable, trial_factors
 from sievestats.spectral import MovingAverageSpec, SpectralSpec, empirical_autocovariance
-from sievestats.sums import prefix_sums
 
 DATA = Path(__file__).parent / "data"
 PI2 = math.pi**2
@@ -107,7 +106,7 @@ def test_criterion_2_mertens_spot_values_and_bfile():
     spot_ok = oracle_m == expected and sieved == expected
 
     bfile = read_bfile(DATA / "b002321.txt")
-    dense = prefix_sums(ss.MOEBIUS, bfile.entries[-1][0])
+    dense = np.cumsum(ss.sieve_table(ss.MOEBIUS, 1, bfile.entries[-1][0]).values, dtype=np.int64)
     computed = {n: int(dense[n - 1]) for n, _ in bfile.entries}
     mismatches = ss.oeis_check(computed, bfile)
     ok = spot_ok and mismatches == []
@@ -121,7 +120,7 @@ def test_criterion_2_mertens_spot_values_and_bfile():
 def test_criterion_3_squarefree_density():
     start = time.monotonic()
     target = 6 / PI2
-    dense = prefix_sums(ss.SQUAREFREE, 10**6)
+    dense = np.cumsum(ss.sieve_table(ss.SQUAREFREE, 1, 10**6).values, dtype=np.int64)
     d4 = dense[10**4 - 1] / 10**4
     d6 = dense[10**6 - 1] / 10**6
     ns = np.arange(100, 10**6 + 1, dtype=np.float64)

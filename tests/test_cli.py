@@ -49,6 +49,86 @@ def test_table_cache_refuses_a_mismatched_header(header, tmp_path, capsys):
     assert not out.exists()
 
 
+#: Two 2^20-line segments, the second three lines long.
+MULTI_SEGMENT_HI = 2**20 + 3
+
+
+def _bad_value(lines):
+    lines[-2] = "5\n"
+
+
+def _non_canonical_value(lines):
+    lines[-1] = "01\n"
+
+
+def _missing_line(lines):
+    del lines[-1]
+
+
+def _extra_line(lines):
+    lines.append("0\n")
+
+
+@pytest.mark.parametrize("corrupt", [_bad_value, _non_canonical_value, _missing_line, _extra_line],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_table_cache_checks_every_line_before_any_output(corrupt, tmp_path, capsys):
+    """A hit reads the whole cache file before writing: a fault in its last
+    segment exits 2 and leaves no output file."""
+    cache = tmp_path / "cache"
+    args = ["table", "--kind", "moebius", "--lo", "1", "--hi", str(MULTI_SEGMENT_HI),
+            "--cache-dir", str(cache), "--output"]
+    assert run([*args, str(tmp_path / "miss.csv")]) == 0
+    assert run([*args, str(tmp_path / "hit.csv")]) == 0
+    assert (tmp_path / "hit.csv").read_bytes() == (tmp_path / "miss.csv").read_bytes()
+    path = cache / f"moebius_1_{MULTI_SEGMENT_HI}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    corrupt(lines)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert run([*args, str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cache file {path} ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_table_cache_miss_that_fails_midway_leaves_no_cache_file(tmp_path, monkeypatch):
+    """A miss writes the cache file segment by segment, renamed into place only once complete."""
+    sieve = sieves._segment_values
+
+    def fail_on_the_second_segment(kind, lo, hi, primes):
+        if lo > 1:
+            raise OSError("disk full")
+        return sieve(kind, lo, hi, primes)
+
+    monkeypatch.setattr(sieves, "_segment_values", fail_on_the_second_segment)
+    cache = tmp_path / "cache"
+    assert run(["table", "--kind", "moebius", "--lo", "1", "--hi", str(MULTI_SEGMENT_HI),
+                "--cache-dir", str(cache), "--output", str(tmp_path / "out.csv")]) == 2
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("cached", [None, "miss", "hit"])
+def test_table_peak_memory(cached, tmp_path):
+    """`table` holds about one 2^20-value segment and its text at a time.
+
+    Rendering a moebius segment takes a list of its values and a list of its
+    lines, about 20 MiB, so 2.5 B per value at 2^23 and less beyond; a text
+    of the whole table would take near 20 B per value.
+    """
+    n = 2**23
+    argv = ["table", "--kind", "moebius", "--lo", "1", "--hi", str(n)]
+    if cached:
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    if cached == "hit":
+        assert run([*argv, "--output", str(tmp_path / "miss.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n, f"{peak / n:.2f} bytes per value"
+
+
 def test_sum_command(tmp_path):
     out = tmp_path / "sums.csv"
     assert run(["sum", "--kind", "moebius", "--n-max", "10",
@@ -106,6 +186,8 @@ def test_sum_command(tmp_path):
         (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "exponent",
           "--xi", "-1"],
          "xi must be >= 0"),
+        (["table", "--kind", "moebius", "--lo", "1", "--hi", "1000000001", "--cache-dir", "cache"],
+         "hi=1000000001 exceeds the configured maximum 1000000000"),
     ],
     ids=["stats-cdf-limit", "dependence-von-mangoldt-limit", "dependence-order",
          "dependence-max-lag", "normality-count", "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
@@ -113,7 +195,7 @@ def test_sum_command(tmp_path):
          "normality-block-size-zero", "variance-growth-block-size-zero",
          "deviation-n-max-zero", "dependence-checkpoints-without-report",
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
-         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative"],
+         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative", "table-hi"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):

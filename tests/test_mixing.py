@@ -337,33 +337,42 @@ MEMORY_N = 2**23
 
 
 @pytest.fixture(scope="module")
-def mu_table_2e23():
-    return ss.sieve_table(ss.MOEBIUS, 1, MEMORY_N)
+def memory_tables():
+    return {kind: ss.sieve_table(kind, 1, MEMORY_N) for kind in (ss.MOEBIUS, ss.VON_MANGOLDT)}
+
+
+def _report(table):
+    return ss.stationarity_report(table.kind, MEMORY_N, [10**3, 10**6, MEMORY_N], table=table)
+
+
+MU, VM = ss.MOEBIUS, ss.VON_MANGOLDT
 
 
 @pytest.mark.parametrize(
     "name, call, bytes_per_value",
     [
-        ("autocovariance", lambda t: ss.autocovariance(t, MEMORY_N, DEFAULT_REPORT_LAGS), 4),
-        ("alpha_hat", lambda t: ss.alpha_hat(t, MEMORY_N, DEFAULT_REPORT_LAGS), 4),
-        ("stationarity_report",
-         lambda t: ss.stationarity_report(ss.MOEBIUS, MEMORY_N, [10**3, 10**6, MEMORY_N], table=t),
-         4),
-        ("moments", lambda t: ss.moments(t, MEMORY_N), 2),
-        ("empirical_cdf", lambda t: ss.empirical_cdf(t, MEMORY_N), 2),
+        ("autocovariance", lambda t: ss.autocovariance(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
+        ("alpha_hat", lambda t: ss.alpha_hat(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
+        ("stationarity_report", lambda t: _report(t[MU]), 4),
+        ("moments", lambda t: ss.moments(t[MU], MEMORY_N), 2),
+        ("empirical_cdf", lambda t: ss.empirical_cdf(t[MU], MEMORY_N), 2),
         # 3/8 B of bitsets, and one segment's bools at a time.
-        ("PairCounts", lambda t: mixing.PairCounts(MEMORY_N, t.segments(MEMORY_N), ss.MOEBIUS.alphabet()), 0.6),
+        ("PairCounts", lambda t: mixing.PairCounts(MEMORY_N, t[MU].segments(MEMORY_N), MU.alphabet()), 0.6),
+        # Von Mangoldt reads the float64 table in place: only the 8 B centered copy.
+        ("autocovariance_von_mangoldt",
+         lambda t: ss.autocovariance(t[VM], MEMORY_N, DEFAULT_REPORT_LAGS), 8.5),
+        ("stationarity_report_von_mangoldt", lambda t: _report(t[VM]), 8.5),
     ],
 )
-def test_finite_alphabet_statistics_peak_memory(mu_table_2e23, name, call, bytes_per_value):
-    """Allocations on top of the int8 table stay a few bytes per value.
+def test_finite_alphabet_statistics_peak_memory(memory_tables, name, call, bytes_per_value):
+    """Allocations on top of the table stay a few bytes per value.
 
-    Widening the table to int64, or building int64 codes or pair arrays,
-    costs 8 to 16 bytes per value.
+    Widening the int8 table to int64, or building int64 codes or pair arrays,
+    costs 8 to 16 bytes per value; copying the von Mangoldt table costs 8.
     """
     tracemalloc.start()
     try:
-        call(mu_table_2e23)
+        call(memory_tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

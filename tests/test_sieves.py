@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -186,13 +187,15 @@ def test_value_at_range_check():
 
 @pytest.mark.parametrize("kind", [ss.MOEBIUS, ss.VON_MANGOLDT], ids=str)
 def test_csv_cache_round_trip(kind, tmp_path):
-    table = sieve_table(kind, 3, 500)
+    hi = 2**20 + 500  # read back as two segments
+    table = sieve_table(kind, 3, hi)
     path = tmp_path / "cache.csv"
-    write_table_csv(table, path)
+    text = write_table_csv(table, path)
     loaded = read_table_csv(path)
     assert loaded.kind == kind
-    assert (loaded.lo, loaded.hi) == (3, 500)
+    assert (loaded.lo, loaded.hi) == (3, hi)
     assert np.array_equal(loaded.values, table.values)
+    assert table_text(loaded) == text
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -229,6 +232,27 @@ def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("moebius,1,3\n1\n300\n-1\n")
     with pytest.raises(ValueError, match="alphabet"):
+        read_table_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("moebius, 1,3\n1\n-1\n-1\n", "bad table header"),
+        ("moebius,1,3\n1\n01\n-1\n", "holds '01\\n'"),
+        ("moebius,1,3\n1\n-1\n-1", "holds '-1'"),
+        ("moebius,1,3\n1\n-1\n", "ends at 2, before hi=3"),
+        ("moebius,1,2\n1\n-1\n-1\n", "holds more than 2 values"),
+        ("von_mangoldt,1,3\n0\n0.6931471805599453\n1.0986122886681098\n", "holds '0.6931471805599453\\n'"),
+        ("von_mangoldt,1,2\n0\n-0.69314718055994529\n", "outside the von_mangoldt alphabet"),
+        ("von_mangoldt,1,2\n0\nnan\n", "holds 'nan\\n'"),
+    ],
+    ids=["header", "leading-zero", "no-final-newline", "short", "long", "repr-float", "negative", "nan"],
+)
+def test_csv_cache_refuses_lines_the_format_does_not_write(text, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_table_csv(path)
 
 

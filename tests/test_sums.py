@@ -5,7 +5,6 @@ import pytest
 
 import sievestats as ss
 from sievestats.sieves import oracle_value
-from sievestats.sums import prefix_sums
 
 
 def oracle_prefix(kind, n):
@@ -106,17 +105,12 @@ def test_von_mangoldt_checkpoint_sums_pinned():
 
 
 def test_prefix_sums_dense():
-    dense = prefix_sums(ss.MOEBIUS, 2000, segment_size=611)
-    assert dense.tolist() == oracle_prefix(ss.MOEBIUS, 2000)
-
-
-def test_prefix_sums_guard():
-    with pytest.raises(ValueError, match="limited to"):
-        prefix_sums(ss.MOEBIUS, 10**7 + 1)
+    series = ss.accumulate(ss.MOEBIUS, 2000, range(1, 2001), segment_size=611)
+    assert list(series.sums) == oracle_prefix(ss.MOEBIUS, 2000)
 
 
 def test_squarefree_sqrt_deviation_bounded_to_1e7():
-    dense = prefix_sums(ss.SQUAREFREE, 10**7)
+    dense = np.cumsum(ss.sieve_table(ss.SQUAREFREE, 1, 10**7).values, dtype=np.int64)
     ns = np.arange(100, 10**7 + 1, dtype=np.float64)
     ratios = np.abs(dense[99:] - (6 / math.pi**2) * ns) / np.sqrt(ns)
     constant = float(ratios.max())

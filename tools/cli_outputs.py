@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 84 CLI commands and keep every output.
+"""Run a fixed matrix of 88 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -12,7 +12,9 @@ Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
 end inside 64-bit words; riemann-check; ergodic; oeis-check on both
-vendored b-files; a table cache miss followed by a hit; and 15 inputs that
+vendored b-files; `table` over 3*10^6 values from an unaligned lo on
+moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
+the same over 3*10^6 von Mangoldt values; and 15 inputs that
 must be refused (exit status 2, one error line, no output file).  Each
 command writes its outputs under OUTDIR, and `exit_codes.txt` records every
 exit status and error line, so running this on two checkouts and comparing
@@ -57,6 +59,9 @@ SPARSE_KINDS = (
     "squarefree_parity_weight",
 )
 SPARSE_CHECKPOINTS = "1,2,10,1000,65536,1000000,4194304,10000000,19999999,20000000"
+#: 3*10^6 values from a lo inside a 64-bit word, across 2^20-value segments.
+TABLE_LO = 10**8 - 1_234_567
+TABLE_HI = TABLE_LO + 2_999_999
 
 
 def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
@@ -130,6 +135,12 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     cache = ["table", "--kind", "moebius", "--lo", str(N - 99_999), "--hi", n,
              "--workers", "2", "--cache-dir", str(out / "cache")]
     cmds += [("table_cache_miss", cache), ("table_cache_hit", cache)]
+    for kind in ("moebius", "von_mangoldt"):
+        cmds.append((f"table_{kind}_multi_segment",
+                     ["table", "--kind", kind, "--lo", str(TABLE_LO), "--hi", str(TABLE_HI)]))
+    cache = ["table", "--kind", "von_mangoldt", "--lo", str(TABLE_LO), "--hi", str(TABLE_HI),
+             "--workers", "2", "--cache-dir", str(out / "cache")]
+    cmds += [("table_cache_miss_von_mangoldt", cache), ("table_cache_hit_von_mangoldt", cache)]
     cmds += [
         ("refuse_sum_n-max_zero", ["sum", "--kind", "moebius", "--n-max", "0", "--checkpoints", "1"]),
         ("refuse_sum_checkpoint_above_n-max",
