@@ -10,7 +10,6 @@ when every requested check passes and nonzero otherwise.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import functools
 import json
@@ -103,23 +102,19 @@ def _cmd_table(args) -> int:
     kind, lo, hi = parse_kind(args.kind), args.lo, args.hi
     sieves.validate_range(lo, hi, segment_size=sieves.DEFAULT_SEGMENT_SIZE)
     cache = None if args.cache_dir is None else Path(args.cache_dir) / f"{kind}_{lo}_{hi}.csv"
-    if cache is not None and cache.exists():
-        with open(cache) as fh:
-            *found, segments = sieves.read_table_segments(fh)
-            if found != [kind, lo, hi]:
-                found = ",".join(map(str, found))
-                raise ValueError(f"cache file {cache} holds {found}, not {kind},{lo},{hi}")
-            collections.deque(segments, maxlen=0)  # every value and the count, before any output
-            fh.seek(0)
-            _emit(iter(functools.partial(fh.read, 1 << 20), ""), args.output)
-        return 0
     pieces = sieves.table_pieces(kind, lo, hi, iter_segments(kind, lo, hi, workers=args.workers))
     if cache is None:
         _emit(pieces, args.output)
-        return 0
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    with sieves.atomic_writer(cache) as fh:
-        _emit((piece for piece in pieces if fh.write(piece)), args.output)  # to the cache, then out
+    elif cache.exists():
+        with open(cache, newline="") as fh:
+            for _ in sieves.checked_pieces(fh, pieces):  # the whole file, before any output
+                pass
+            fh.seek(0)
+            _emit(iter(functools.partial(fh.read, sieves.CHUNK_CHARS), ""), args.output)
+    else:
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        with sieves.atomic_writer(cache) as fh:
+            _emit((piece for piece in pieces if fh.write(piece)), args.output)  # to the cache, then out
     return 0
 
 

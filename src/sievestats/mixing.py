@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .kinds import VON_MANGOLDT, FunctionKind
-from .sieves import ValueTable, table_from_segments
+from .sieves import ValueTable, segment_bounds, table_from_segments
 from .spectral import empirical_autocovariance
 from .sums import checkpoint_sums, validate_checkpoints
 
@@ -251,7 +251,7 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
-        sums = checkpoint_sums(kind, cps, ValueTable(kind, 1, n, pairs.values).segments(n))
+        sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
     else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up
         word, bit = np.divmod(np.array(cps, dtype=np.uint64), np.uint64(64))
         sums = sum(a * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]

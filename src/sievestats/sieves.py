@@ -13,6 +13,7 @@ cross-check used by the test suite.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -27,6 +28,7 @@ import numpy as np
 from .kinds import FunctionKind, parse_kind
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # cache-resident marking buffers
+CHUNK_CHARS = 1 << 20  # the most text a cache check or a cache hit's copy reads at once
 DEFAULT_MAX_HI = 10**9  # the largest hi any sieve accepts; below SIGNATURE_MAX_HI
 LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
@@ -68,8 +70,8 @@ class ValueTable:
 
     def segments(self, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
         """`prefix(n)` as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
-        values, step = self.prefix(n), DEFAULT_SEGMENT_SIZE
-        return ((lo, min(lo + step - 1, n), values[lo - 1 : lo - 1 + step]) for lo in range(1, n + 1, step))
+        values = self.prefix(n)
+        return ((lo, hi, values[lo - 1 : hi]) for lo, hi in segment_bounds(1, n))
 
 
 def prime_flags_upto(limit: int) -> np.ndarray:
@@ -201,6 +203,11 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) ->
     raise ValueError(f"unsupported kind: {kind}")
 
 
+def segment_bounds(lo: int, hi: int, size: int = DEFAULT_SEGMENT_SIZE) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the `size`-value segments `iter_segments` cuts [lo, hi] into."""
+    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+
+
 def validate_range(lo: int, hi: int, *, segment_size: int) -> None:
     """Raise ValueError for a range or setting that `iter_segments` refuses."""
     if not 1 <= lo <= hi:
@@ -227,7 +234,7 @@ def iter_segments(
     """
     validate_range(lo, hi, segment_size=segment_size)
     primes = base_primes(math.isqrt(hi + 2))  # +2 covers the twin lookahead
-    bounds = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
+    bounds = segment_bounds(lo, hi, segment_size)
     if workers <= 1 or len(bounds) == 1:
         for a, b in bounds:
             yield a, b, _segment_values(kind, a, b, primes)
@@ -346,33 +353,13 @@ def oracle_value(kind: FunctionKind, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _value_lines(kind: FunctionKind):
-    """The cache line of a value of f, and its inverse, which raises KeyError for any other line.
-    Integers are looked up among one line per alphabet value, von Mangoldt's zeros share
-    one "0" line, and its logs print with 17 significant digits."""
-    alphabet = kind.alphabet()
-    if alphabet is not None:
-        lines = {v: f"{v}\n" for v in alphabet}
-        return lines.__getitem__, {line: v for v, line in lines.items()}.__getitem__
-
-    def line(v: float) -> str:
-        return f"{v:.17g}\n" if v else "0\n"
-
-    def value(line: str) -> float:
-        if line == "0\n":
-            return 0.0
-        with contextlib.suppress(ValueError):
-            if 0 < (v := float(line)) < math.inf and f"{v:.17g}\n" == line:
-                return v
-        raise KeyError(line)
-
-    return line, value
-
-
 def table_pieces(kind: FunctionKind, lo: int, hi: int, segments) -> Iterator[str]:
-    """Cache format of f on [lo, hi]: the header `kind,lo,hi`, then one line per value, as
-    one str per segment of the ascending (lo, hi, values) `segments` covering [lo, hi]."""
-    line = _value_lines(kind)[0]
+    """Cache format of f on [lo, hi]: the header `kind,lo,hi`, then one line per value, as one
+    str per segment of the ascending (lo, hi, values) `segments` covering [lo, hi].  Integer lines
+    are looked up, one per alphabet value; von Mangoldt's zeros print as "0", its logs to 17 digits."""
+    alphabet = kind.alphabet()
+    lines = {v: f"{v}\n" for v in alphabet} if alphabet else None
+    line = lines.__getitem__ if lines else lambda v: f"{v:.17g}\n" if v else "0\n"
     yield f"{kind},{lo},{hi}\n"
     for _, _, values in segments:
         yield "".join(map(line, values.tolist()))
@@ -404,37 +391,32 @@ def write_table_csv(table: ValueTable, path) -> str:
     return text
 
 
-def read_table_segments(fh) -> tuple[FunctionKind, int, int, Iterator[tuple[int, int, np.ndarray]]]:
-    """The header (kind, lo, hi) of the open cache file `fh`, read at once, and its values as
-    segments sliced as `iter_segments` slices [lo, hi], read as they are asked for.  Every line
-    must be one `table_pieces` writes, and the file must hold hi - lo + 1 values."""
-    header = fh.readline()
-    fields = header.rstrip("\n").split(",")
-    if len(fields) != 3:
-        raise ValueError(f"bad table header in {fh.name}")
-    kind, lo, hi = parse_kind(fields[0]), int(fields[1]), int(fields[2])
-    if header != f"{kind},{lo},{hi}\n":
-        raise ValueError(f"bad table header in {fh.name}")
-    value, dtype = _value_lines(kind)[1], np.int8 if kind.is_integer_valued else np.float64
-
-    def segments():
-        for a in range(lo, hi + 1, DEFAULT_SEGMENT_SIZE):
-            b = min(a + DEFAULT_SEGMENT_SIZE - 1, hi)
-            try:
-                values = np.fromiter(map(value, itertools.islice(fh, b - a + 1)), dtype)
-            except KeyError as exc:
-                line = exc.args[0]
-                raise ValueError(f"cache file {fh.name} holds {line!r}, outside the {kind} alphabet") from None
-            if len(values) < b - a + 1:
-                raise ValueError(f"cache file {fh.name} ends at {a + len(values) - 1}, before hi={hi}")
-            yield a, b, values
-        if fh.readline():
-            raise ValueError(f"cache file {fh.name} holds more than {hi - lo + 1} values")
-
-    return kind, lo, hi, segments()
+def checked_pieces(fh, pieces) -> Iterator[str]:
+    """Each of `pieces`, once the text file `fh` (opened with newline="") was found to hold it
+    next, read at most CHUNK_CHARS characters at a time; after the last, `fh` must end.  The first
+    difference raises ValueError naming its line, what `fh` holds there and what `table` writes."""
+    line = 1  # the number of the piece's first line
+    for piece in pieces:
+        for at in range(0, len(piece), CHUNK_CHARS):
+            if (got := fh.read(min(CHUNK_CHARS, len(piece) - at))) != piece[at : at + CHUNK_CHARS]:
+                read = io.StringIO(piece[:at] + got + fh.readline(CHUNK_CHARS))  # `fh` from the piece on
+                pairs = enumerate(itertools.zip_longest(read, io.StringIO(piece), fillvalue=""), line)
+                line, (held, wanted) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
+                found = f"line {line} holds {held!r}" if held else f"ends at line {line}"
+                raise ValueError(f"cache file {fh.name} {found}, where table writes {wanted!r}")
+        line += piece.count("\n")
+        yield piece
+    if extra := fh.readline(CHUNK_CHARS):
+        raise ValueError(f"cache file {fh.name} line {line} holds {extra!r}, where table ends")
 
 
 def read_table_csv(path) -> ValueTable:
-    """The ValueTable a cache file holds, checked line by line by `read_table_segments`."""
-    with open(path) as fh:
-        return table_from_segments(*read_table_segments(fh))
+    """The table a cache file's header names, filled as `checked_pieces` checks each segment."""
+    with open(path, newline="") as fh:
+        name, lo, hi = fh.readline().split(",")
+        kind, lo, hi = parse_kind(name), int(lo), int(hi)
+        fh.seek(0)
+        segments, shown = itertools.tee(iter_segments(kind, lo, hi))
+        pieces = checked_pieces(fh, table_pieces(kind, lo, hi, shown))
+        next(pieces)  # the header, checked before any sieving
+        return table_from_segments(kind, lo, hi, (segment for _, segment in zip(pieces, segments)))

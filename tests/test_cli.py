@@ -45,7 +45,7 @@ def test_table_cache_refuses_a_mismatched_header(header, tmp_path, capsys):
     code = run(["table", "--kind", "moebius", "--lo", "1", "--hi", "10",
                 "--cache-dir", str(cache), "--output", str(out)])
     assert code == 2
-    assert f"holds {header}" in capsys.readouterr().err
+    assert f"line 1 holds '{header}\\n', where table writes 'moebius,1,10\\n'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -55,6 +55,10 @@ MULTI_SEGMENT_HI = 2**20 + 3
 
 def _bad_value(lines):
     lines[-2] = "5\n"
+
+
+def _wrong_value(lines):
+    lines[-3] = "1\n" if lines[-3] != "1\n" else "-1\n"
 
 
 def _non_canonical_value(lines):
@@ -69,7 +73,7 @@ def _extra_line(lines):
     lines.append("0\n")
 
 
-@pytest.mark.parametrize("corrupt", [_bad_value, _non_canonical_value, _missing_line, _extra_line],
+@pytest.mark.parametrize("corrupt", [_bad_value, _wrong_value, _non_canonical_value, _missing_line, _extra_line],
                          ids=lambda f: f.__name__.strip("_"))
 def test_table_cache_checks_every_line_before_any_output(corrupt, tmp_path, capsys):
     """A hit reads the whole cache file before writing: a fault in its last

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -231,29 +232,56 @@ def test_table_text_renders_integers_as_str(kind):
 def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("moebius,1,3\n1\n300\n-1\n")
-    with pytest.raises(ValueError, match="alphabet"):
+    with pytest.raises(ValueError, match=re.escape("line 3 holds '300\\n', where table writes '-1\\n'")):
         read_table_csv(path)
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("moebius, 1,3\n1\n-1\n-1\n", "bad table header"),
-        ("moebius,1,3\n1\n01\n-1\n", "holds '01\\n'"),
-        ("moebius,1,3\n1\n-1\n-1", "holds '-1'"),
-        ("moebius,1,3\n1\n-1\n", "ends at 2, before hi=3"),
-        ("moebius,1,2\n1\n-1\n-1\n", "holds more than 2 values"),
-        ("von_mangoldt,1,3\n0\n0.6931471805599453\n1.0986122886681098\n", "holds '0.6931471805599453\\n'"),
-        ("von_mangoldt,1,2\n0\n-0.69314718055994529\n", "outside the von_mangoldt alphabet"),
-        ("von_mangoldt,1,2\n0\nnan\n", "holds 'nan\\n'"),
+        ("moebius, 1,3\n1\n-1\n-1\n", "line 1 holds 'moebius, 1,3\\n', where table writes 'moebius,1,3\\n'"),
+        ("moebius,1,3\n1\n01\n-1\n", "line 3 holds '01\\n', where table writes '-1\\n'"),
+        ("moebius,1,3\n1\n-1\n-1", "line 4 holds '-1', where table writes '-1\\n'"),
+        ("moebius,1,3\n1\n-1\n", "ends at line 4, where table writes '-1\\n'"),
+        ("moebius,1,2\n1\n-1\n-1\n", "line 4 holds '-1\\n', where table ends"),
+        ("moebius,1,3\r\n1\r\n-1\r\n-1\r\n", "line 1 holds 'moebius,1,3\\r\\n', where table writes 'moebius,1,3\\n'"),
+        ("moebius,1,1000000000\n1\n-1\n-1\n", "ends at line 5, where table writes '0\\n'"),
+        ("von_mangoldt,1,3\n0\n0.6931471805599453\n1.0986122886681098\n",
+         "line 3 holds '0.6931471805599453\\n', where table writes '0.69314718055994529\\n'"),
+        ("von_mangoldt,1,2\n0\n-0.69314718055994529\n",
+         "line 3 holds '-0.69314718055994529\\n', where table writes '0.69314718055994529\\n'"),
+        ("von_mangoldt,1,2\n0\nnan\n", "line 3 holds 'nan\\n', where table writes '0.69314718055994529\\n'"),
     ],
-    ids=["header", "leading-zero", "no-final-newline", "short", "long", "repr-float", "negative", "nan"],
+    ids=["header", "leading-zero", "no-final-newline", "short", "long", "crlf", "short-of-a-far-hi",
+         "repr-float", "negative", "nan"],
 )
 def test_csv_cache_refuses_lines_the_format_does_not_write(text, message, tmp_path):
+    """Each file is refused at its first difference from `table_text`, before sieving past
+    the first segment: a header claiming 10^9 values over three lines is refused at once."""
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=re.escape(message)):
         read_table_csv(path)
+    assert time.perf_counter() - start < 1
+
+
+ACROSS_A_READ = sieves.CHUNK_CHARS // 3 + 1  # the 3-character line that holds character CHUNK_CHARS
+
+
+@pytest.mark.parametrize("line", [1, ACROSS_A_READ, ACROSS_A_READ + 1, 2 * ACROSS_A_READ],
+                         ids=["first", "across-a-read", "after-a-read", "last"])
+def test_checked_pieces_names_the_line_that_differs(line, tmp_path):
+    """A piece of 3-character lines more than two reads long has a line across each read
+    boundary; a refusal names the whole line, numbered from the header, wherever it is."""
+    body = ["ab\n"] * (2 * ACROSS_A_READ)
+    pieces = ["header\n", "".join(body)]
+    body[line - 1] = "aX\n"
+    path = tmp_path / "cache.csv"
+    path.write_text("header\n" + "".join(body))
+    with open(path, newline="") as fh, pytest.raises(ValueError) as refusal:
+        list(sieves.checked_pieces(fh, pieces))
+    assert str(refusal.value) == f"cache file {path} line {line + 1} holds 'aX\\n', where table writes 'ab\\n'"
 
 
 def _failing_rename(src, dst):
