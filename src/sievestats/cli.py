@@ -50,6 +50,8 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _jsonable(obj):
+    if obj is None or isinstance(obj, (str, int, float)):  # most of a report: its floats
+        return obj
     if isinstance(obj, FunctionKind):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

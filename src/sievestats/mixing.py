@@ -53,39 +53,68 @@ def validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
 
 
 def _value_bits(n: int, segments, alphabet) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per alphabet value, the bitset of positions holding it, and each value's count.
+    """Bitsets of the positions holding each alphabet value but the last, and every value's count.
 
     Packed from ascending (lo, hi, values) segments covering [1, n]: position
     k is bit k % 64 of little-endian uint64 word k // 64, and each bitset ends
     in at least one zero word, so a shift never reads past its end.  A segment
     starting inside a byte ORs its first values into that byte's zero high
-    bits, then packs onto whole bytes.  Refuses values outside the alphabet.
+    bits, then packs onto whole bytes.  The last value is only counted, one
+    compare per segment: its positions are the ones in no bitset.  Refuses a
+    segment whose counts do not add up to its length, so a value outside the
+    alphabet.
     """
-    bits, hits = [np.zeros(-(-n // 64) + 1, dtype="<u8") for _ in alphabet], np.empty(0, dtype=bool)
+    bits = [np.zeros(-(-n // 64) + 1, dtype="<u8") for _ in alphabet[:-1]]
+    counts, hits = np.zeros(len(alphabet), dtype=np.int64), np.empty(0, dtype=bool)
     for lo, _, values in segments:
         if len(hits) < len(values):  # one buffer, reused by every segment
             hits = np.empty(len(values), dtype=bool)
         k, head = lo - 1, -(lo - 1) % 8
-        for a, b in zip(alphabet, bits):
+        found = [0] * len(alphabet)
+        for i, a in enumerate(alphabet):
             # Compared in the values' own dtype, so a stray value matches nothing.
-            eq, out = np.equal(values, a, out=hits[: len(values)]), b.view(np.uint8)
+            eq = np.equal(values, a, out=hits[: len(values)])
+            found[i] = int(np.count_nonzero(eq))
+            if i == len(bits):  # the last value: counted, not packed
+                break
+            out = bits[i].view(np.uint8)
             if head:
                 out[k // 8] |= np.packbits(eq[:head], bitorder="little")[0] << (k % 8)
             packed = np.packbits(eq[head:], bitorder="little")
             out[-(-k // 8) : -(-k // 8) + len(packed)] = packed
-    counts = np.array([int(np.bitwise_count(b).sum()) for b in bits], dtype=np.int64)
-    if int(counts.sum()) != n:
-        raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
+        if sum(found) != len(values):
+            raise ValueError(f"values outside the alphabet {tuple(alphabet)}")
+        counts += found
     return bits, counts
 
 
-def _lag_counts(bits: list[np.ndarray], lag: int, start: int, stop: int) -> np.ndarray:
+def _range_counts(bits: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Each bitset's popcount on positions [start, stop), start <= stop: its words, less the
+    bits outside in the end words (an empty range's one word has all its bits outside)."""
+    out = np.empty(len(bits), dtype=np.int64)
+    w0, w1 = start // 64, -(-stop // 64)
+    for i, b in enumerate(bits):
+        outside = (int(b[w0]) & ((1 << start % 64) - 1)).bit_count()
+        if stop % 64:
+            outside += (int(b[w1 - 1]) >> stop % 64).bit_count()
+        out[i] = int(np.bitwise_count(b[w0:w1]).sum()) - outside
+    return out
+
+
+def _lag_counts(bits: list[np.ndarray], lag: int, start: int, stop: int, counts: np.ndarray) -> np.ndarray:
     """J[i, j] = #{k in [start, end) : f(k) = alphabet[i], f(k + lag) = alphabet[j]}, where
-    end = stop - lag > start: the pairs inside positions [start, stop) of `_value_bits` bitsets."""
+    end = stop - lag > start: the pairs inside positions [start, stop) of `_value_bits` bitsets.
+
+    Only the (k - 1)^2 pairs of bitsets are AND-popcounted.  Row i of J sums
+    to value i's count on [start, end) and column j to value j's count on
+    [start + lag, stop): `counts`, each value's count on [start, stop), less
+    the `lag` positions cut from the other end.  Those sums give the last
+    value's row and column, and the corner is what the range has left.
+    """
     q, r = divmod(lag, 64)
     end = stop - lag
     w0, w1 = start // 64, -(-end // 64)
-    joint = np.empty((len(bits), len(bits)), dtype=np.int64)
+    joint = np.empty((len(bits) + 1, len(bits) + 1), dtype=np.int64)
     ahead, both = np.empty(w1 - w0, dtype=np.uint64), np.empty(w1 - w0, dtype=np.uint64)
     for j, b in enumerate(bits):
         # Bit k of `ahead` is bit k + lag of b: a word shift plus an r-bit carry,
@@ -98,15 +127,34 @@ def _lag_counts(bits: list[np.ndarray], lag: int, start: int, stop: int) -> np.n
         for i, a in enumerate(bits):
             np.bitwise_and(a[w0:w1], ahead, out=both)
             joint[i, j] = int(np.bitwise_count(both).sum())
+    inner = joint[:-1, :-1]
+    joint[:-1, -1] = counts[:-1] - _range_counts(bits, end, stop) - inner.sum(axis=1)
+    joint[-1, :-1] = counts[:-1] - _range_counts(bits, start, start + lag) - inner.sum(axis=0)
+    joint[-1, -1] = (end - start) - joint[:-1].sum() - joint[-1, :-1].sum()
     return joint
+
+
+def _report_windows(n: int) -> list[tuple[int, int]]:
+    """The stationarity report's `REPORT_WINDOWS` disjoint position ranges [start, stop) of [0, n)."""
+    window = n // REPORT_WINDOWS
+    return [(w * window, (w + 1) * window) for w in range(REPORT_WINDOWS)]
+
+
+def _window_lag(lag: int, n: int) -> bool:
+    """Whether the report windows count `lag`, and so J_lag on [0, n) is their sum."""
+    return lag < (n // REPORT_WINDOWS) / 2
 
 
 class PairCounts:
     """Lagged pair statistics of f on [1, n]: packed once, each (lag, range) counted once.
 
     Reads ascending (lo, hi, values) segments covering [1, n].  A finite alphabet
-    is packed by `_value_bits`; `joint(lag, start, stop)` counts J_lag on positions
-    [start, stop) with `_lag_counts` when first asked for, then keeps it.  Von
+    is packed by `_value_bits` into one bitset per value but the last;
+    `joint(lag, start, stop)` counts J_lag on positions [start, stop) with
+    `_lag_counts` when first asked for, then keeps it, and `range_counts` keeps
+    each range's value counts the same way.  J_lag on [0, n) for a lag the
+    report windows count is their sum, plus the pairs that straddle a window
+    end or lie past the last window, so [0, n) is covered once per lag.  Von
     Mangoldt's floats are filled into one array by `table_from_segments`.
     """
 
@@ -119,12 +167,25 @@ class PairCounts:
         self.bits, self.counts = _value_bits(n, segments, alphabet)
         self.a = np.array(alphabet, dtype=np.int64)
         self.mean = int(self.a @ self.counts) / n
+        self._counts = {(0, n): self.counts}
         self._joint: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def range_counts(self, start: int, stop: int) -> np.ndarray:
+        """Each alphabet value's count on positions [start, stop), the last one by difference."""
+        if (start, stop) not in self._counts:
+            found = _range_counts(self.bits, start, stop)
+            self._counts[start, stop] = np.append(found, stop - start - found.sum())
+        return self._counts[start, stop]
 
     def joint(self, lag: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         key = (lag, start, stop or self.n)
         if key not in self._joint:
-            self._joint[key] = _lag_counts(self.bits, *key)
+            if key[1:] == (0, self.n) and _window_lag(lag, self.n):
+                windows = _report_windows(self.n)
+                edges = [(b - lag, b + lag) for _, b in windows[:-1]] + [(windows[-1][1] - lag, self.n)]
+                self._joint[key] = sum(self.joint(lag, a, b) for a, b in windows + edges if b - a > lag)
+            else:
+                self._joint[key] = _lag_counts(self.bits, *key, self.range_counts(*key[1:]))
         return self._joint[key]
 
     def covariances(self, lags, start: int = 0, stop: int | None = None) -> list[float]:
@@ -132,7 +193,7 @@ class PairCounts:
         if self.alphabet is None:
             return empirical_autocovariance(self.values[start:stop], lags).tolist()
         n, a = (stop or self.n) - start, self.a
-        counts = self.counts if n == self.n else np.diag(self.joint(0, start, stop))
+        counts = self.range_counts(start, stop or self.n)
         mean = int(a @ counts) / n
         out = []
         for h in lags:
@@ -153,9 +214,15 @@ class PairCounts:
         return abs(cj / m - (c1 / m) * (c2 / m))
 
     def alpha(self, lag: int) -> float:
-        """Max gap over all pairs of nonempty proper value subsets."""
-        subsets = [s for k in range(1, len(self.alphabet)) for s in combinations(self.alphabet, k)]
-        return max((self.gap(lag, s1, s2) for s1 in subsets for s2 in subsets), default=0.0)
+        """Max gap over all pairs of nonempty proper value subsets, from one product of
+        J with the subsets' indicator rows."""
+        size = len(self.alphabet)
+        subsets = np.array([[i in s for i in range(size)] for k in range(1, size)
+                            for s in combinations(range(size), k)], dtype=np.int64)
+        joint, m = self.joint(lag), self.n - lag
+        cj = subsets @ joint @ subsets.T
+        c1, c2 = subsets @ joint.sum(axis=1), subsets @ joint.sum(axis=0)
+        return float(np.abs(cj / m - np.outer(c1 / m, c2 / m)).max())
 
 
 def _table_pairs(table: ValueTable, n: int) -> PairCounts:
@@ -252,11 +319,14 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
         sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
-    else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up
+    else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up;
+        # the last value's count is c less the others'
         word, bit = np.divmod(np.array(cps, dtype=np.uint64), np.uint64(64))
-        sums = sum(a * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]
-                        - np.bitwise_count(b[word] & (~np.uint64(0) << bit)))
-                   for a, b in zip(pairs.alphabet, pairs.bits)).tolist()
+        *packed, last = pairs.alphabet
+        sums = (last * np.array(cps, dtype=np.int64)
+                + sum((a - last) * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]
+                                    - np.bitwise_count(b[word] & (~np.uint64(0) << bit)))
+                      for a, b in zip(packed, pairs.bits))).tolist()
     traj = [s / c for c, s in zip(cps, sums)]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]
@@ -266,12 +336,11 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     r0, *r_global = pairs.covariances([0, *lags])
 
     # Position stability: covariances recomputed on disjoint windows.
-    window = n // REPORT_WINDOWS
     stability = 0.0
-    if window >= 2:
-        win_lags = [h for h in lags if h < window / 2]
-        for w in range(REPORT_WINDOWS):
-            r_window = pairs.covariances(win_lags, w * window, (w + 1) * window)
+    if n // REPORT_WINDOWS >= 2:
+        win_lags = [h for h in lags if _window_lag(h, n)]
+        for start, stop in _report_windows(n):
+            r_window = pairs.covariances(win_lags, start, stop)
             for rw, rg in zip(r_window, r_global):
                 stability = max(stability, abs(rw - rg))
 

@@ -415,9 +415,10 @@ def test_streamed_subcommands_peak_memory(tmp_path, kind, command, n, bytes_per_
     A table costs 1 B per moebius value and 8 B per von Mangoldt value.
     `stats` and `normality` hold no table, only a few 2^20-value segments:
     for von Mangoldt's float64 ones, the segment being read and the one being
-    sieved, about 2 B per value at 2^23.  Moebius `dependence` holds 3/8 B of
-    bitsets and counts a lag with two more bitset-sized words; von Mangoldt
-    `dependence` holds its 8 B float values and their 8 B centered copy.
+    sieved, about 2 B per value at 2^23.  Moebius `dependence` holds 2/8 B of
+    bitsets, none for its last value, and counts a lag with two more
+    bitset-sized words; von Mangoldt `dependence` holds its 8 B float values
+    and their 8 B centered copy.
     """
     argv = [command, "--kind", kind, "--n", str(n), "--output", str(tmp_path / "out.json")]
     if command == "dependence":

@@ -3,10 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats import cli, mixing, sums
-from sievestats.mixing import DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _value_bits
+from sievestats.mixing import (
+    DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _range_counts, _value_bits, _window_lag,
+)
 from sievestats.sieves import ValueTable, iter_segments
 
 
@@ -43,7 +47,9 @@ def test_lag_counts_match_bincount_at_every_lag(alphabet, n):
         for lag in range(stop - start):
             pairs = window[: len(window) - lag] * size + window[lag:]
             expected = np.bincount(pairs, minlength=size * size).reshape(size, size)
-            assert _lag_counts(bits, lag, start, stop).tolist() == expected.tolist(), (start, stop, lag)
+            got = _lag_counts(bits, lag, start, stop, np.bincount(window, minlength=size))
+            assert got.tolist() == expected.tolist(), (start, stop, lag)
+        assert _range_counts(bits, start, stop).tolist() == np.bincount(window, minlength=size)[:-1].tolist()
 
 
 @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-1, 0, 2)])
@@ -58,6 +64,60 @@ def test_packing_segments_matches_packing_one_segment(alphabet, size):
     assert counts.tolist() == whole_counts.tolist()
     for b, whole in zip(bits, whole_bits):
         assert b.tolist() == whole.tolist()
+
+
+def bincount_joint(codes, size, lag, start, stop):
+    """The k^2 reference: J_lag on positions [start, stop) from one bincount of pair codes."""
+    window = codes[start:stop]
+    pairs = window[: len(window) - lag] * size + window[lag:]
+    return np.bincount(pairs, minlength=size * size).reshape(size, size).tolist()
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-1, 0, 2)])
+@pytest.mark.parametrize("rest", [0, 3], ids=["empty_tail", "tail"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(quarter=st.integers(3, 800), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_joint_counts_from_k_minus_one_bitsets_match_bincount(alphabet, rest, quarter, seed, data):
+    """J from k - 1 bitsets and range counts equals the k^2 reference on random
+    segments, ranges and lags; on [0, n), composed from the report windows below
+    window/2 and counted directly above, it equals a direct count."""
+    n, size = 4 * quarter + rest, len(alphabet)
+    values = seeded_values(alphabet, n, seed)
+    codes = np.searchsorted(alphabet, values).astype(np.int64)
+    step = data.draw(st.integers(1, n), label="segment")
+    segments = [(lo, min(lo + step - 1, n), values[lo - 1 : lo - 1 + step]) for lo in range(1, n + 1, step)]
+    pairs = mixing.PairCounts(n, segments, alphabet)
+    assert len(pairs.bits) == size - 1
+
+    start = data.draw(st.integers(0, n - 2), label="start")
+    stop = data.draw(st.integers(start + 2, n), label="stop")
+    lag = data.draw(st.integers(0, stop - start - 1), label="lag")
+    assert pairs.range_counts(start, stop).tolist() == np.bincount(codes[start:stop], minlength=size).tolist()
+    assert pairs.joint(lag, start, stop).tolist() == bincount_joint(codes, size, lag, start, stop)
+
+    half = -(-(n // REPORT_WINDOWS) // 2)  # the least lag the windows do not count
+    composed = data.draw(st.integers(1, half - 1), label="composed lag")
+    direct = data.draw(st.integers(half, -(-n // 2) - 1), label="direct lag")
+    assert _window_lag(composed, n) and not _window_lag(direct, n)
+    for h in (composed, direct):
+        expected = bincount_joint(codes, size, h, 0, n)
+        assert pairs.joint(h).tolist() == expected
+        assert _lag_counts(pairs.bits, h, 0, n, pairs.counts).tolist() == expected
+
+
+def test_stray_value_in_a_later_segment_is_refused_when_read():
+    values = seeded_values((-1, 0, 1), 5000, seed=3)
+    values[2345] = 2
+    read = []
+
+    def segments():
+        for lo in range(1, 5001, 1000):
+            read.append(lo)
+            yield lo, lo + 999, values[lo - 1 : lo + 999]
+
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        mixing.PairCounts(5000, segments(), (-1, 0, 1))
+    assert read == [1, 1001, 2001]
 
 
 @pytest.mark.parametrize("position", [63, 64, 65])
@@ -242,8 +302,10 @@ def test_alpha_iid_bernoulli_decays_like_sampling_noise():
 
 
 def test_dependence_report_packs_each_array_once_and_counts_each_lag_once(monkeypatch, tmp_path):
-    """`dependence --report` reads [1, n] once, packs it once, and the CSV rows,
-    the windows and the trajectory count on the same bitsets."""
+    """`dependence --report` reads [1, n] once and packs it once, and each
+    (lag, range) is counted once.  Every window is counted for each lag below
+    window/2: J on [0, n) is then the windows' sum plus the pairs across their
+    ends and past the last one.  Only larger lags count [0, n) directly."""
     n = 10**5 + 3
     streamed, packed, counted = [], [], []
 
@@ -255,27 +317,29 @@ def test_dependence_report_packs_each_array_once_and_counts_each_lag_once(monkey
         packed.append(n)
         return _value_bits(n, segments, alphabet)
 
-    def lag_counts(bits, lag, start, stop):
+    def lag_counts(bits, lag, start, stop, counts):
         counted.append((lag, start, stop))
-        return _lag_counts(bits, lag, start, stop)
+        return _lag_counts(bits, lag, start, stop, counts)
 
     for module in (cli, sums):
         monkeypatch.setattr(module, "iter_segments", stream)
     monkeypatch.setattr(mixing, "_value_bits", value_bits)
     monkeypatch.setattr(mixing, "_lag_counts", lag_counts)
-    argv = ["dependence", "--kind", "moebius", "--n", str(n), "--lags", "1..20,64",
+    argv = ["dependence", "--kind", "moebius", "--n", str(n), "--lags", "1..20,64,20000",
             "--report", str(tmp_path / "report.json"), "--output", str(tmp_path / "dep.csv")]
     assert cli.run(argv) == 0
     assert streamed == [("moebius", 1, n)]
     assert packed == [n]
     assert len(counted) == len(set(counted))
-    assert {lag for lag, start, stop in counted if (start, stop) == (0, n)} == {
-        *range(1, 21), 64, *(h for h in DEFAULT_REPORT_LAGS if h < n / 2)
-    }
     window = n // REPORT_WINDOWS
-    assert {(start, stop) for _, start, stop in counted} >= {
-        (w * window, (w + 1) * window) for w in range(REPORT_WINDOWS)
-    }
+    windows = [(w * window, (w + 1) * window) for w in range(REPORT_WINDOWS)]
+    lags = {*range(1, 21), 64, *(h for h in DEFAULT_REPORT_LAGS if h < n / 2)}
+    assert all(h < window / 2 for h in lags) and 20000 >= window / 2
+
+    def ranges(h):  # the windows, the pairs across each window's end, and those past the last
+        return windows + [(b - h, b + h) for _, b in windows[:-1]] + [(REPORT_WINDOWS * window - h, n)]
+
+    assert set(counted) == {*((h, a, b) for h in lags for a, b in ranges(h)), (20000, 0, n)}
 
 
 def test_stationarity_moebius_all_verdicts_true(mu_table):
@@ -356,7 +420,7 @@ MU, VM = ss.MOEBIUS, ss.VON_MANGOLDT
         ("stationarity_report", lambda t: _report(t[MU]), 4),
         ("moments", lambda t: ss.moments(t[MU], MEMORY_N), 2),
         ("empirical_cdf", lambda t: ss.empirical_cdf(t[MU], MEMORY_N), 2),
-        # 3/8 B of bitsets, and one segment's bools at a time.
+        # 2/8 B of bitsets (one per moebius value but the last), and one segment's bools at a time.
         ("PairCounts", lambda t: mixing.PairCounts(MEMORY_N, t[MU].segments(MEMORY_N), MU.alphabet()), 0.6),
         # Von Mangoldt reads the float64 table in place: only the 8 B centered copy.
         ("autocovariance_von_mangoldt",
