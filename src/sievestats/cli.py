@@ -175,32 +175,24 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_ergodic(args) -> int:
-    spec = spectral.SpectralSpec(_parse_atoms(args.atoms), mean=args.mean)
+    spec = spectral.SpectralSpec(_parse_atoms(args.atoms))
     grid = _geometric_grid(args.n)
     rows = [(n, spectral.covariance_average(spec, n)) for n in grid]
-    _emit(_csv_text("n,covariance_average", rows), args.output)
+    outputs = [(_csv_text("n,covariance_average", rows), args.output)]  # all computed before any write
     if args.mse_output is not None:
         n_values = _parse_int_list(args.n_list) if args.n_list else grid
         study = spectral.mse_study(spec, n_values, args.replicates, args.seed)
-        _emit(_csv_text("n,mse", zip(study.n_values, study.mse)), args.mse_output)
+        outputs.append((_csv_text("n,mse", zip(study.n_values, study.mse)), args.mse_output))
     if args.autocov_output is not None:
-        realization = spectral.sample_spectral(spec, args.n, args.seed)
         lags = _parse_int_list(args.lags)
-        measured = spectral.empirical_autocovariance(
-            realization.x - spec.mean, lags, center=False
-        )
-        rows = []
-        for h, value in zip(lags, measured):
-            theory = spectral.theoretical_covariance(spec, h)
-            value = complex(value)
-            rows.append((h, theory.real, theory.imag, value.real, value.imag))
-        _emit(
-            _csv_text(
-                "h,r_theoretical_re,r_theoretical_im,r_empirical_re,r_empirical_im",
-                rows,
-            ),
-            args.autocov_output,
-        )
+        z = spectral._draw_amplitudes(spec, np.random.default_rng(np.random.SeedSequence(args.seed)))
+        measured = spectral.realized_autocovariance(spec, z, args.n, lags)
+        theory = [spectral.theoretical_covariance(spec, h) for h in lags]
+        rows = [(h, t.real, t.imag, r.real, r.imag) for h, t, r in zip(lags, theory, measured)]
+        header = "h,r_theoretical_re,r_theoretical_im,r_empirical_re,r_empirical_im"
+        outputs.append((_csv_text(header, rows), args.autocov_output))
+    for text, output in outputs:
+        _emit(text, output)
     return 0
 
 
@@ -320,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ergodic", help="atomic-spectrum averaging diagnostics (CSV)")
     p.add_argument("--atoms", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--n-list", default=None)

@@ -319,14 +319,18 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
         sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
-    else:  # each word's popcount summed once, less checkpoint c's own word from bit c % 64 up;
-        # the last value's count is c less the others'
-        word, bit = np.divmod(np.array(cps, dtype=np.uint64), np.uint64(64))
+    else:  # each word's popcount summed once, between consecutive checkpoints' words, then
+        # cumulated, plus the bits of c's own word below c % 64; the last value's count is c
+        # less the others'
+        word, bit = np.divmod(np.array(cps, dtype=np.int64), 64)
+        starts, below = np.append(0, word), (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1)
         *packed, last = pairs.alphabet
-        sums = (last * np.array(cps, dtype=np.int64)
-                + sum((a - last) * (np.cumsum(np.bitwise_count(b), dtype=np.int64)[word]
-                                    - np.bitwise_count(b[word] & (~np.uint64(0) << bit)))
-                      for a, b in zip(packed, pairs.bits))).tolist()
+        sums = last * np.array(cps, dtype=np.int64)
+        for a, b in zip(packed, pairs.bits):
+            between = np.add.reduceat(np.bitwise_count(b), starts, dtype=np.int64)[:-1]
+            between[starts[1:] == starts[:-1]] = 0  # reduceat gives an empty interval its start word
+            sums += (a - last) * (np.cumsum(between) + np.bitwise_count(b[word] & below))
+        sums = sums.tolist()
     traj = [s / c for c, s in zip(cps, sums)]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]

@@ -2,10 +2,14 @@
 
 A spectrum is a finite list of atoms (frequency, variance).  Realizations draw
 one complex Gaussian amplitude per atom, so the sequence is
-x_t = m + sum_k z_k exp(i lambda_k t) and its covariance is the finite
+x_t = sum_k z_k exp(i lambda_k t) and its covariance is the finite
 trigonometric sum R(h) = sum_k sigma_k^2 exp(i lambda_k h).  The ergodic
-average of a realization converges to m plus the realized amplitude at
-frequency zero; with no zero atom the average decays like 1/n.
+average of a realization converges to the realized amplitude at frequency
+zero; with no zero atom the average decays like 1/n.
+
+Every average over t < n is taken in closed form, atom by atom, from the
+partial mean (1/n) sum_{t<n} exp(i lambda t) (`_partial_mean_factor`), in the
+same time and memory at any n; only `sample_spectral` builds a sequence.
 
 All randomness flows through numpy's PCG64 generator: a study with master
 seed s gives replicate r the stream SeedSequence(s).spawn(...)[r], so results
@@ -16,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
-
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,6 @@ class SpectralSpec:
     """Atomic spectral measure: atoms are (frequency in [-pi, pi], variance > 0)."""
 
     atoms: tuple[tuple[float, float], ...]
-    mean: float = 0.0
 
     def __post_init__(self):
         freqs = [a[0] for a in self.atoms]
@@ -59,7 +62,7 @@ def _draw_amplitudes(spec: SpectralSpec, rng: np.random.Generator) -> np.ndarray
 def _reconstruct(spec: SpectralSpec, z: np.ndarray, n: int) -> np.ndarray:
     lam = np.array([a[0] for a in spec.atoms], dtype=np.float64)
     phases = np.exp(1j * np.outer(np.arange(n), lam))
-    return phases @ z + spec.mean
+    return phases @ z
 
 
 def sample_spectral(spec: SpectralSpec, n: int, seed: int) -> SpectralRealization:
@@ -71,8 +74,7 @@ def sample_spectral(spec: SpectralSpec, n: int, seed: int) -> SpectralRealizatio
         raise ValueError("spectrum must contain at least one atom")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = _draw_amplitudes(spec, rng)
+    z = _draw_amplitudes(spec, np.random.default_rng(np.random.SeedSequence(seed)))
     return SpectralRealization(spec, seed, z, _reconstruct(spec, z, n))
 
 
@@ -105,8 +107,8 @@ class MseStudy:
 def mse_study(spec: SpectralSpec, n_values, replicates: int, seed: int) -> MseStudy:
     """Mean-square error of A_n against its limit, averaged over replicates.
 
-    The limit is mean + z at frequency zero (the realized amplitude) when a
-    zero atom exists, else the mean alone.  Per-replicate averages are
+    The limit is z at frequency zero (the realized amplitude) when a zero
+    atom exists, else 0.  Per-replicate averages are
     evaluated atom-wise through exact partial geometric sums, which equals
     averaging the reconstructed series term by term.
     """
@@ -139,14 +141,27 @@ def mse_study(spec: SpectralSpec, n_values, replicates: int, seed: int) -> MseSt
 
 
 def covariance_average(spec: SpectralSpec, n: int) -> float:
-    """(1/n) sum_{k<n} R(k); converges to the variance of the zero atom."""
+    """(1/n) sum_{k<n} R(k) from each atom's partial mean; converges to the zero atom's variance."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = np.arange(n)
-    total = 0.0j
-    for lam, sig2 in spec.atoms:
-        total += sig2 * np.exp(1j * lam * ks).sum()
-    return float((total / n).real)
+    return float(sum(sig2 * _partial_mean_factor(lam, n) for lam, sig2 in spec.atoms).real)
+
+
+def realized_autocovariance(spec: SpectralSpec, z: np.ndarray, n: int, lags) -> np.ndarray:
+    """R_hat(h) = (1/(n-h)) sum_{k<n-h} x_{k+h} conj(x_k) of the realization with amplitudes z,
+    as sum_{j,l} z_j conj(z_l) exp(i lambda_j h) times the partial mean of exp(i d k) over
+    k < n - h, where d = lambda_j - lambda_l is reduced modulo 2 pi: atoms at -pi and pi
+    are one frequency, and their d is exactly 0."""
+    lam = [a[0] for a in spec.atoms]
+    # (j, l) next to (l, j): at lag 0 their terms are conjugates, so R_hat(0) sums to a real
+    pairs = [(z[j] * np.conj(z[l]), lam[j], math.remainder(lam[j] - lam[l], 2 * math.pi))
+             for p, q in combinations_with_replacement(range(len(lam)), 2) for j, l in {(p, q), (q, p)}]
+    out = []
+    for h in map(int, lags):
+        if not 0 <= h < n:
+            raise ValueError(f"lag {h} outside [0, {n})")
+        out.append(sum(c * np.exp(1j * lj * h) * _partial_mean_factor(d, n - h) for c, lj, d in pairs))
+    return np.array(out, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -187,19 +202,13 @@ def ma_theoretical_covariance(spec: MovingAverageSpec, h: int):
     return complex(value) if np.iscomplexobj(a) else float(value.real)
 
 
-def empirical_autocovariance(x: np.ndarray, lags, center: bool = True) -> np.ndarray:
-    """R_hat(h) = (1/(n-h)) sum_k (x_{k+h} - m) conj(x_k - m) for each lag."""
+def empirical_autocovariance(x: np.ndarray, lags) -> np.ndarray:
+    """R_hat(h) = (1/(n-h)) sum_k (x_{k+h} - m)(x_k - m) for each lag, x real, m its mean."""
     x = np.asarray(x)
-    n = len(x)
-    xc = x - x.mean() if center else x
-    xc_conj = np.conj(xc) if np.iscomplexobj(xc) else xc  # conj copies, so only when complex
+    n, xc = len(x), x - x.mean()
     out = []
-    for h in lags:
-        h = int(h)
+    for h in map(int, lags):
         if not 0 <= h < n:
             raise ValueError(f"lag {h} outside [0, {n})")
-        m = n - h
-        out.append(np.dot(xc[h:], xc_conj[:m]) / m)
-    result = np.array(out)
-    return result.real if not np.iscomplexobj(x) else result
-
+        out.append(np.dot(xc[h:], xc[: n - h]) / (n - h))
+    return np.array(out)

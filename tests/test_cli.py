@@ -192,6 +192,15 @@ def test_sum_command(tmp_path):
          "xi must be >= 0"),
         (["table", "--kind", "moebius", "--lo", "1", "--hi", "1000000001", "--cache-dir", "cache"],
          "hi=1000000001 exceeds the configured maximum 1000000000"),
+        (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--lags", "0..200",
+          "--mse-output", "mse", "--autocov-output", "autocov"],
+         "lag 100 outside [0, 100)"),
+        (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--replicates", "50",
+          "--mse-output", "mse", "--autocov-output", "autocov"],
+         "need at least 100 replicates"),
+        (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--n-list", "0,10",
+          "--mse-output", "mse", "--autocov-output", "autocov"],
+         "n values must be positive"),
     ],
     ids=["stats-cdf-limit", "dependence-von-mangoldt-limit", "dependence-order",
          "dependence-max-lag", "normality-count", "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
@@ -199,7 +208,8 @@ def test_sum_command(tmp_path):
          "normality-block-size-zero", "variance-growth-block-size-zero",
          "deviation-n-max-zero", "dependence-checkpoints-without-report",
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
-         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative", "table-hi"],
+         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative", "table-hi",
+         "ergodic-lags", "ergodic-replicates", "ergodic-n-list"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):
@@ -430,3 +440,20 @@ def test_streamed_subcommands_peak_memory(tmp_path, kind, command, n, bytes_per_
     finally:
         tracemalloc.stop()
     assert peak < bytes_per_value * n, f"{peak / n:.2f} bytes per value"
+
+
+def test_ergodic_peak_memory(tmp_path):
+    """Every `ergodic` row comes from the atoms and the drawn amplitudes: no
+    realization and no array of length n.  At n = 10^7 that is a few MiB,
+    the first call's lazy imports included, where one length-n complex
+    realization alone takes 160 MB."""
+    argv = ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5", "--n", str(10**7),
+            "--seed", "7", "--output", str(tmp_path / "cov.csv"),
+            "--mse-output", str(tmp_path / "mse.csv"), "--autocov-output", str(tmp_path / "autocov.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"

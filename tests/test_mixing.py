@@ -417,7 +417,9 @@ MU, VM = ss.MOEBIUS, ss.VON_MANGOLDT
     [
         ("autocovariance", lambda t: ss.autocovariance(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
         ("alpha_hat", lambda t: ss.alpha_hat(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
-        ("stationarity_report", lambda t: _report(t[MU]), 4),
+        # The bitsets' 0.25 B, and one bitset's word popcounts for the trajectory: uint8 and
+        # the int64 copy `np.add.reduceat` sums, 0.14 B.
+        ("stationarity_report", lambda t: _report(t[MU]), 0.45),
         ("moments", lambda t: ss.moments(t[MU], MEMORY_N), 2),
         ("empirical_cdf", lambda t: ss.empirical_cdf(t[MU], MEMORY_N), 2),
         # 2/8 B of bitsets (one per moebius value but the last), and one segment's bools at a time.

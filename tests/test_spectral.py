@@ -11,6 +11,7 @@ from sievestats.spectral import (
     _draw_amplitudes,
     _reconstruct,
     empirical_autocovariance,
+    realized_autocovariance,
 )
 
 
@@ -71,7 +72,29 @@ def test_covariance_bounded_by_lag_zero():
         assert abs(ss.theoretical_covariance(spec, h)) <= abs(r0) + 1e-12
 
 
-def test_empirical_autocovariance_matches_theory_on_average():
+SPECTRA = {
+    "zero-atom": SpectralSpec(((0.0, 2.0), (1.0471975511965976, 1.0), (-2.5, 0.5))),
+    "generic": SpectralSpec(((0.3, 1.5), (1.1, 0.5), (-2.0, 0.75), (2.9, 1.0))),
+    "minus-pi-and-pi": SpectralSpec(((-math.pi, 1.0), (math.pi, 0.5), (0.7, 0.25))),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+@pytest.mark.parametrize("n", [11, 1000, 10**5])
+def test_realized_autocovariance_matches_direct_sum(name, n):
+    spec = SPECTRA[name]
+    z = _draw_amplitudes(spec, np.random.default_rng(np.random.SeedSequence(n)))
+    x = _reconstruct(spec, z, n)
+    lags = range(0, 11)
+    direct = np.array([np.dot(x[h:], np.conj(x[: n - h])) / (n - h) for h in lags])
+    closed = realized_autocovariance(spec, z, n, lags)
+    assert np.abs(closed - direct).max() <= 1e-10 * np.abs(direct).max()
+    assert closed[0].imag == 0.0  # the mean of |x_k|^2
+    with pytest.raises(ValueError, match=rf"lag {n} outside \[0, {n}\)"):
+        realized_autocovariance(spec, z, n, [0, n])
+
+
+def test_realized_autocovariance_matches_theory_on_average():
     # Average over a pinned seed set; single realizations keep the realized
     # |z|^2 rather than the ensemble variances.
     spec = SpectralSpec(((0.5, 1.0), (-1.3, 2.0), (3.0, 0.25)))
@@ -81,8 +104,7 @@ def test_empirical_autocovariance_matches_theory_on_average():
     acc = np.zeros(11, dtype=complex)
     for child in children:
         z = _draw_amplitudes(spec, np.random.default_rng(child))
-        x = _reconstruct(spec, z, n)
-        acc += empirical_autocovariance(x, lags, center=False)
+        acc += realized_autocovariance(spec, z, n, lags)
     acc /= replicates
     theory = np.array([ss.theoretical_covariance(spec, h) for h in lags])
     tolerance = 5 * spec.total_variance() / math.sqrt(n)
@@ -97,8 +119,7 @@ def test_two_atom_autocovariance_within_monte_carlo_error():
     samples = np.zeros((replicates, len(lags)), dtype=complex)
     for i, child in enumerate(children):
         z = _draw_amplitudes(spec, np.random.default_rng(child))
-        x = _reconstruct(spec, z, n)
-        samples[i] = empirical_autocovariance(x, lags, center=False)
+        samples[i] = realized_autocovariance(spec, z, n, lags)
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(replicates)
     for j, h in enumerate(lags):
@@ -147,8 +168,15 @@ def test_mse_study_validation():
 
 def test_covariance_average_zero_atom_exact():
     spec = SpectralSpec(((0.0, 2.0),))
-    for n in (1, 7, 100):
+    for n in (1, 7, 100, 10**12):
         assert ss.covariance_average(spec, n) == 2.0
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+def test_covariance_average_matches_direct_sum(name):
+    spec, n = SPECTRA[name], 1000
+    direct = sum(ss.theoretical_covariance(spec, k) for k in range(n)).real / n
+    assert ss.covariance_average(spec, n) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_covariance_average_pi_atom_cancels_on_even_n():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 88 CLI commands and keep every output.
+"""Run a fixed matrix of 89 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -11,7 +11,8 @@ blocks CSV, 977-value blocks straddling segments) on moebius and von
 Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
-end inside 64-bit words; riemann-check; ergodic; oeis-check on both
+end inside 64-bit words; riemann-check; ergodic at n = 10^5 and, with its
+MSE and autocovariance outputs, at n = 10^9; oeis-check on both
 vendored b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
 the same over 3*10^6 von Mangoldt values; and 15 inputs that
@@ -115,6 +116,10 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
                      "--seed", "7", "--replicates", "100", "--n-list", "10,100,1000,10000",
                      "--mse-output", str(out / "ergodic.mse.csv"),
                      "--autocov-output", str(out / "ergodic.autocov.csv")]),
+        ("ergodic_n_1e9", ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5",
+                           "--n", "1000000000", "--seed", "7",
+                           "--mse-output", str(out / "ergodic_n_1e9.mse.csv"),
+                           "--autocov-output", str(out / "ergodic_n_1e9.autocov.csv")]),
         ("oeis-check_mertens", ["oeis-check", "--bfile", str(ROOT / "tests/data/b002321.txt"),
                                 "--kind", "moebius"]),
         ("oeis-check_squarefree", ["oeis-check", "--kind", "squarefree_indicator",
