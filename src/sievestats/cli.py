@@ -180,8 +180,7 @@ def _cmd_ergodic(args) -> int:
     rows = [(n, spectral.covariance_average(spec, n)) for n in grid]
     outputs = [(_csv_text("n,covariance_average", rows), args.output)]  # all computed before any write
     if args.mse_output is not None:
-        n_values = _parse_int_list(args.n_list) if args.n_list else grid
-        study = spectral.mse_study(spec, n_values, args.replicates, args.seed)
+        study = spectral.mse_study(spec, _parse_int_list(args.n_list) if args.n_list else grid)
         outputs.append((_csv_text("n,mse", zip(study.n_values, study.mse)), args.mse_output))
     if args.autocov_output is not None:
         lags = _parse_int_list(args.lags)
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--n-list", default=None)
     p.add_argument("--mse-output", default=None)
     p.add_argument("--autocov-output", default=None)

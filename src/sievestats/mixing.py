@@ -319,17 +319,21 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
         sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
-    else:  # each word's popcount summed once, between consecutive checkpoints' words, then
-        # cumulated, plus the bits of c's own word below c % 64; the last value's count is c
-        # less the others'
+    else:  # popcounts of the words below c's own, from an int64 cumsum 2^16 words at a time, plus
+        # the bits of c's own word below c % 64; the last value's count is c less the others'
         word, bit = np.divmod(np.array(cps, dtype=np.int64), 64)
-        starts, below = np.append(0, word), (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1)
+        below, buf = (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1), np.empty(1 << 16, np.int64)
         *packed, last = pairs.alphabet
         sums = last * np.array(cps, dtype=np.int64)
         for a, b in zip(packed, pairs.bits):
-            between = np.add.reduceat(np.bitwise_count(b), starts, dtype=np.int64)[:-1]
-            between[starts[1:] == starts[:-1]] = 0  # reduceat gives an empty interval its start word
-            sums += (a - last) * (np.cumsum(between) + np.bitwise_count(b[word] & below))
+            counts, total = np.bitwise_count(b[word] & below).astype(np.int64), 0
+            for lo in range(0, len(b), len(buf)):
+                cum = np.bitwise_count(b[lo : lo + len(buf)], out=buf[: len(b) - lo])
+                np.cumsum(cum, out=cum)  # in place: a cumsum cast from uint8 copies its input
+                i, j = np.searchsorted(word, [lo + 1, lo + len(cum) + 1])  # c with word - 1 in this chunk
+                counts[i:j] += total + cum[word[i:j] - 1 - lo]
+                total += cum[-1]
+            sums += (a - last) * counts
         sums = sums.tolist()
     traj = [s / c for c, s in zip(cps, sums)]
     c_limit = traj[-1]

@@ -9,15 +9,14 @@ zero; with no zero atom the average decays like 1/n.
 
 Every average over t < n is taken in closed form, atom by atom, from the
 partial mean (1/n) sum_{t<n} exp(i lambda t) (`_partial_mean_factor`), in the
-same time and memory at any n; only `sample_spectral` builds a sequence.
-
-All randomness flows through numpy's PCG64 generator: a study with master
-seed s gives replicate r the stream SeedSequence(s).spawn(...)[r], so results
-are reproducible and schedule-independent.
+same time and memory at any n, and the ergodic average's mean-square error is
+exact (`mse_study`); only `sample_spectral` builds a sequence, and the only
+randomness is a draw of amplitudes from PCG64 seeded with SeedSequence(seed).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -88,56 +87,33 @@ def ergodic_average(realization: SpectralRealization) -> complex:
     return complex(realization.x.mean())
 
 
+def _dirichlet_mean(lam: float, n: int) -> float:
+    # sin(lam n/2) / (n sin(lam/2)), the partial mean over exp(i lam (n-1)/2): no cancellation near 0
+    return 1.0 if lam == 0.0 else math.sin(0.5 * lam * n) / (n * math.sin(0.5 * lam))
+
+
 def _partial_mean_factor(lam: float, n: int) -> complex:
     # (1/n) sum_{k<n} exp(i lam k); exactly 1 at lam = 0.
-    if lam == 0.0:
-        return 1.0 + 0.0j
-    return (np.exp(1j * lam * n) - 1.0) / (n * (np.exp(1j * lam) - 1.0))
+    return cmath.exp(0.5j * lam * (n - 1)) * _dirichlet_mean(lam, n)
 
 
 @dataclass(frozen=True)
 class MseStudy:
     n_values: tuple[int, ...]
     mse: tuple[float, ...]
-    median_sq_error: tuple[float, ...]
-    replicates: int
-    seed: int
 
 
-def mse_study(spec: SpectralSpec, n_values, replicates: int, seed: int) -> MseStudy:
-    """Mean-square error of A_n against its limit, averaged over replicates.
-
-    The limit is z at frequency zero (the realized amplitude) when a zero
-    atom exists, else 0.  Per-replicate averages are
-    evaluated atom-wise through exact partial geometric sums, which equals
-    averaging the reconstructed series term by term.
-    """
+def mse_study(spec: SpectralSpec, n_values) -> MseStudy:
+    """Exact E|A_n - Z_0|^2 = sum_{lambda != 0} sigma^2 |F_lambda(n)|^2 for each n, F the partial
+    mean and Z_0 the zero atom's amplitude (else 0): `_draw_amplitudes` draws them independent
+    and circular with E|z|^2 = sigma^2, so the cross terms vanish and Z_0 drops out exactly."""
     if not spec.atoms:
         raise ValueError("spectrum must contain at least one atom")
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
     ns = [int(v) for v in n_values]
     if not ns or any(v < 1 for v in ns):
         raise ValueError("n values must be positive")
-    lam = np.array([a[0] for a in spec.atoms], dtype=np.float64)
-    moving = lam != 0.0
-    factors = np.array(
-        [[_partial_mean_factor(l, n) for l in lam[moving]] for n in ns],
-        dtype=np.complex128,
-    ).reshape(len(ns), -1)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    errs = np.empty((replicates, len(ns)), dtype=np.float64)
-    for r, child in enumerate(children):
-        z = _draw_amplitudes(spec, np.random.default_rng(child))
-        drift = factors @ z[moving] if moving.any() else np.zeros(len(ns), dtype=complex)
-        errs[r] = np.abs(drift) ** 2
-    return MseStudy(
-        tuple(ns),
-        tuple(float(v) for v in errs.mean(axis=0)),
-        tuple(float(v) for v in np.median(errs, axis=0)),
-        replicates,
-        seed,
-    )
+    mse = [sum(sig2 * _dirichlet_mean(lam, n) ** 2 for lam, sig2 in spec.atoms if lam != 0.0) for n in ns]
+    return MseStudy(tuple(ns), tuple(map(float, mse)))
 
 
 def covariance_average(spec: SpectralSpec, n: int) -> float:

@@ -250,12 +250,10 @@ def test_criterion_6_block_sum_normality_squarefree(sf_table):
 
 
 def test_criterion_7_ergodic_simulator():
-    zero_atom = ss.mse_study(SpectralSpec(((0.0, 1.0),)), [100, 10**4], 100, seed=9)
+    zero_atom = ss.mse_study(SpectralSpec(((0.0, 1.0),)), [100, 10**4])
     exact_ok = zero_atom.mse == (0.0, 0.0)
 
-    moving = ss.mse_study(
-        SpectralSpec(((1.0, 1.0), (2.2, 0.5))), [100, 10**4], 200, seed=1234
-    )
+    moving = ss.mse_study(SpectralSpec(((1.0, 1.0), (2.2, 0.5))), [100, 10**4])
     decay_ok = moving.mse[1] <= 0.02 * moving.mse[0]
 
     cov = ss.covariance_average(SpectralSpec(((0.0, 2.0),)), 10**4)
@@ -310,7 +308,7 @@ def test_criterion_9_deterministic_outputs(tmp_path):
         (
             "mse.csv",
             ["ergodic", "--atoms", "1.0:1,2.2:0.5", "--n", "1000", "--seed", "13",
-             "--replicates", "100", "--mse-output"],
+             "--mse-output"],
         ),
     ]
     identical = True

@@ -195,9 +195,6 @@ def test_sum_command(tmp_path):
         (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--lags", "0..200",
           "--mse-output", "mse", "--autocov-output", "autocov"],
          "lag 100 outside [0, 100)"),
-        (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--replicates", "50",
-          "--mse-output", "mse", "--autocov-output", "autocov"],
-         "need at least 100 replicates"),
         (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--n-list", "0,10",
           "--mse-output", "mse", "--autocov-output", "autocov"],
          "n values must be positive"),
@@ -209,7 +206,7 @@ def test_sum_command(tmp_path):
          "deviation-n-max-zero", "dependence-checkpoints-without-report",
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
          "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative", "table-hi",
-         "ergodic-lags", "ergodic-replicates", "ergodic-n-list"],
+         "ergodic-lags", "ergodic-n-list"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):
@@ -264,8 +261,7 @@ def test_ergodic_command(tmp_path):
     mse = tmp_path / "mse.csv"
     autocov = tmp_path / "autocov.csv"
     assert run(["ergodic", "--atoms", "0:2,1.0471:1", "--n", "10000",
-                "--seed", "7", "--replicates", "100",
-                "--n-list", "100,1000,10000",
+                "--seed", "7", "--n-list", "100,1000,10000",
                 "--output", str(out), "--mse-output", str(mse),
                 "--autocov-output", str(autocov), "--lags", "0..5"]) == 0
     lines = out.read_text().splitlines()
@@ -395,7 +391,7 @@ def test_byte_identical_reruns(tmp_path):
     for name, args in {
         "riemann.json": ["riemann-check", "--n-max", "20000", "--xi", "0"],
         "mse.csv": ["ergodic", "--atoms", "1.0:1,2.2:0.5", "--n", "1000",
-                     "--seed", "13", "--replicates", "100", "--mse-output"],
+                     "--seed", "13", "--mse-output"],
     }.items():
         a = tmp_path / f"a_{name}"
         b = tmp_path / f"b_{name}"

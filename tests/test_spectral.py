@@ -9,6 +9,7 @@ from sievestats.spectral import (
     MovingAverageSpec,
     SpectralSpec,
     _draw_amplitudes,
+    _partial_mean_factor,
     _reconstruct,
     empirical_autocovariance,
     realized_autocovariance,
@@ -140,30 +141,60 @@ def test_ergodic_average_geometric_bound():
         assert abs(ss.ergodic_average(real)) <= bound * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("lam", [1e-9, 1e-6, 1e-3, 1.0, math.pi, -math.pi])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_partial_mean_factor_matches_direct_mean(lam, n):
+    direct = np.exp(1j * lam * np.arange(n)).mean()
+    # abs: at +-pi and even n the mean is 0 but for the direct sum's rounding of lam k (1e-15 at n = 1000)
+    assert _partial_mean_factor(lam, n) == pytest.approx(direct, rel=1e-14, abs=1e-14)
+
+
 def test_mse_study_zero_atom_is_exactly_zero():
-    study = ss.mse_study(SpectralSpec(((0.0, 1.0),)), [100, 10**4], 100, seed=9)
+    study = ss.mse_study(SpectralSpec(((0.0, 1.0),)), [100, 10**4])
     assert study.mse == (0.0, 0.0)
 
 
 def test_mse_study_decay_without_zero_atom():
     spec = SpectralSpec(((1.0, 1.0), (2.2, 0.5)))
-    study = ss.mse_study(spec, [100, 10**4], 200, seed=1234)
+    study = ss.mse_study(spec, [100, 10**4])
     assert study.mse[1] <= 0.02 * study.mse[0]
 
 
-def test_mse_study_medians_decay():
-    spec = SpectralSpec(((1.0, 1.0), (2.2, 0.5)))
-    study = ss.mse_study(spec, [100, 1000, 10**4], 200, seed=1234)
-    med = study.median_sq_error
-    assert med[0] > med[1] > med[2]
+@pytest.mark.parametrize("name", SPECTRA)
+@pytest.mark.parametrize("n", [10, 100])
+def test_mse_study_matches_monte_carlo(name, n):
+    spec, draws = SPECTRA[name], 2000
+    rng = np.random.default_rng(np.random.SeedSequence(n))
+    zero = np.array([lam == 0.0 for lam, _ in spec.atoms])
+    errs = np.empty(draws)
+    for r in range(draws):
+        z = _draw_amplitudes(spec, rng)
+        errs[r] = abs(_reconstruct(spec, z, n).mean() - z[zero].sum()) ** 2
+    stderr = errs.std(ddof=1) / math.sqrt(draws)
+    assert abs(ss.mse_study(spec, [n]).mse[0] - errs.mean()) <= 4 * stderr
+
+
+@pytest.mark.parametrize("lam", [1e-9, 0.3, -2.5, math.pi])
+@pytest.mark.parametrize("n", [1, 10, 999, 10**9])
+def test_mse_study_one_moving_atom(lam, n):
+    expected = 0.7 * math.sin(lam * n / 2) ** 2 / (n * math.sin(lam / 2)) ** 2
+    mse = ss.mse_study(SpectralSpec(((0.0, 2.0), (lam, 0.7))), [n]).mse[0]
+    assert mse == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_mse_study_decays_like_inverse_n_squared():
+    spec = SPECTRA["generic"]
+    bound = sum(sig2 / math.sin(lam / 2) ** 2 for lam, sig2 in spec.atoms)
+    ns = [10**k for k in range(13)] + [7, 999_999_937]
+    for n, mse in zip(ns, ss.mse_study(spec, ns).mse):
+        assert n * n * mse <= bound * (1 + 1e-12)
 
 
 def test_mse_study_validation():
-    spec = SpectralSpec(((1.0, 1.0),))
-    with pytest.raises(ValueError, match="100 replicates"):
-        ss.mse_study(spec, [100], 50, seed=1)
     with pytest.raises(ValueError, match="positive"):
-        ss.mse_study(spec, [0], 100, seed=1)
+        ss.mse_study(SpectralSpec(((1.0, 1.0),)), [0])
+    with pytest.raises(ValueError, match="at least one atom"):
+        ss.mse_study(SpectralSpec(()), [10])
 
 
 def test_covariance_average_zero_atom_exact():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 89 CLI commands and keep every output.
+"""Run a fixed matrix of 90 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -12,7 +12,8 @@ Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
 end inside 64-bit words; riemann-check; ergodic at n = 10^5 and, with its
-MSE and autocovariance outputs, at n = 10^9; oeis-check on both
+MSE and autocovariance outputs, at n = 10^9, and at n = 10^6 on atoms at
+-pi, pi and 10^-9; oeis-check on both
 vendored b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
 the same over 3*10^6 von Mangoldt values; and 15 inputs that
@@ -113,13 +114,17 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("riemann-check_xi0", ["riemann-check", "--n-max", n]),
         ("riemann-check_xi0.1", ["riemann-check", "--n-max", n, "--xi", "0.1", "--workers", "2"]),
         ("ergodic", ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5", "--n", "100000",
-                     "--seed", "7", "--replicates", "100", "--n-list", "10,100,1000,10000",
+                     "--seed", "7", "--n-list", "10,100,1000,10000",
                      "--mse-output", str(out / "ergodic.mse.csv"),
                      "--autocov-output", str(out / "ergodic.autocov.csv")]),
         ("ergodic_n_1e9", ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5",
                            "--n", "1000000000", "--seed", "7",
                            "--mse-output", str(out / "ergodic_n_1e9.mse.csv"),
                            "--autocov-output", str(out / "ergodic_n_1e9.autocov.csv")]),
+        ("ergodic_edge_atoms", ["ergodic", "--atoms=-3.141592653589793:1,3.141592653589793:0.5,1e-09:0.25",
+                                "--n", "1000000",
+                                "--mse-output", str(out / "ergodic_edge_atoms.mse.csv"),
+                                "--autocov-output", str(out / "ergodic_edge_atoms.autocov.csv")]),
         ("oeis-check_mertens", ["oeis-check", "--bfile", str(ROOT / "tests/data/b002321.txt"),
                                 "--kind", "moebius"]),
         ("oeis-check_squarefree", ["oeis-check", "--kind", "squarefree_indicator",
