@@ -349,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--atoms" in argv[:-1]:  # bind the value, which starts with "-" at a negative frequency
+        i = argv.index("--atoms")
+        argv[i : i + 2] = [f"--atoms={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

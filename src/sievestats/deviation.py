@@ -21,6 +21,9 @@ from .sums import SummationSeries
 #: above the few-ulp rounding of the log and division that compute a ratio.
 PRUNE_SLACK = 1.0 + 1e-9
 
+#: Values per chunk of `mertens_riemann_check`: the grain at which it prunes.
+CHUNK = 64
+
 #: Block counts, geometric from 30 to all blocks, at which variance growth
 #: estimates h_hat(n).
 GROWTH_GRID_POINTS = 25
@@ -106,7 +109,9 @@ def counting_psi(kind: FunctionKind, c: float, psi_spec: PsiSpec | str) -> PsiSp
 
 
 def check_xi(xi: float) -> float:
-    """xi itself; refuses xi < 0."""
+    """xi itself; refuses an xi that is not finite or is below 0."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     if xi < 0:
         raise ValueError("xi must be >= 0")
     return xi
@@ -160,6 +165,21 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
     return _worst_report(series, c, lambda n, s: exponent_ratio(n, s, c, xi), xi=xi)
 
 
+def _chunk_prefixes(vals: np.ndarray) -> np.ndarray:
+    """Prefix sums of moebius `vals` restarted every CHUNK values: column c is chunk c.
+
+    A short last chunk is padded with zeros, so its padding repeats its last
+    prefix.  |prefix| <= CHUNK fits in int8 while CHUNK <= 127.
+    """
+    full, rest = divmod(len(vals), CHUNK)
+    t = np.zeros((CHUNK, full + (rest > 0)), np.int8)
+    t.T[:full] = vals[: full * CHUNK].reshape(full, CHUNK)
+    t[:rest, full:] = vals[full * CHUNK :, None]
+    for r in range(1, CHUNK):  # vectorized across chunks, where a cumsum is a serial loop
+        t[r] += t[r - 1]
+    return t
+
+
 def mertens_riemann_check(
     n_max: int,
     xi: float,
@@ -171,36 +191,39 @@ def mertens_riemann_check(
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
     unreliable here.  Streams over sieve segments, so memory stays bounded.
-    A segment [lo, hi] with lo >= 2 cannot raise the running worst when its
-    bound log(max |M|) / (exponent * log(lo)), widened by PRUNE_SLACK, stays
-    below it; such a segment only counts its zeros of M into `skipped`.
+    A chunk of CHUNK values from lo >= 2, whose exact max |M| its prefix sums
+    give, cannot raise the running worst when log(max |M|) / (exponent *
+    log(lo)), widened by PRUNE_SLACK, stays below it; only the other chunks
+    take per-value logarithms.  M moves by at most 1 per step, so only a
+    chunk whose [min M, max M] holds 0 is searched for zeros of M.
     """
     check_xi(xi)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     exponent = 0.5 + xi
-    running = 0
-    worst, argmax, skipped = None, 0, 0
+    running, worst, argmax, skipped = 0, None, 0, 1  # n = 1 is skipped
+    steps = np.arange(CHUNK)
     for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size, workers=workers):
-        # M(n) - M(lo - 1) first; a segment of fewer than 2^31 values fits in int32.
-        m = np.cumsum(vals, dtype=np.int32 if len(vals) < 2**31 else np.int64)
-        base, running = running, running + int(m[-1])
-        if worst is not None and lo >= 2:
-            peak = max(int(m.max()) + base, -(int(m.min()) + base))
-            if peak == 0 or math.log(peak) / (exponent * math.log(lo)) * PRUNE_SLACK < worst:
-                skipped += int(np.count_nonzero(m == -base))
-                continue
-        m = m.astype(np.int64)
-        m += base
-        nvals = np.arange(lo, hi + 1, dtype=np.float64)
-        mask = (np.abs(m) >= 1) & (nvals >= 2)
-        skipped += int(len(m) - np.count_nonzero(mask))
-        if mask.any():
-            ratios = np.log(np.abs(m[mask]).astype(np.float64)) / (exponent * np.log(nvals[mask]))
+        t = _chunk_prefixes(vals)
+        ends = np.cumsum(t[-1], dtype=np.int64) + running  # M(chunk hi)
+        base, running = ends - t[-1], int(ends[-1])  # M(chunk lo - 1)
+        top, bottom = t.max(axis=0) + base, t.min(axis=0) + base
+        starts = np.arange(lo, hi + 1, CHUNK)
+        z = (bottom <= 0) & (top >= 0)
+        skipped += int(np.count_nonzero((t[:, z] == -base[z]) & (starts[z] + steps[:, None] <= hi)))
+        keep = slice(None)
+        if worst is not None:  # set from n = 3 on, so every chunk here starts at lo >= 4
+            peak = np.maximum(np.maximum(top, -bottom), 1)  # a chunk of zeros holds no ratio
+            keep = np.log(peak) / (exponent * np.log(starts)) >= worst / PRUNE_SLACK
+        m = np.add(t[:, keep].T, base[keep, None], order="C")  # surviving chunks in n order
+        n = starts[keep, None] + steps
+        ok = (m != 0) & (n >= 2) & (n <= hi)
+        if ok.any():
+            m, n = np.abs(m[ok]), n[ok]
+            ratios = np.log(m.astype(np.float64)) / (exponent * np.log(n.astype(np.float64)))
             i = int(np.argmax(ratios))
             if worst is None or ratios[i] > worst:
-                worst = float(ratios[i])
-                argmax = int(nvals[mask][i])
+                worst, argmax = float(ratios[i]), int(n[i])
     if worst is None:
         raise ValueError("all values skipped (every |M(n)| below 1)")
     return DeviationReport(

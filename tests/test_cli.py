@@ -190,6 +190,10 @@ def test_sum_command(tmp_path):
         (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "exponent",
           "--xi", "-1"],
          "xi must be >= 0"),
+        (["riemann-check", "--n-max", "100000", "--xi", "nan"], "xi must be finite, got nan"),
+        (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "exponent",
+          "--xi", "inf"],
+         "xi must be finite, got inf"),
         (["table", "--kind", "moebius", "--lo", "1", "--hi", "1000000001", "--cache-dir", "cache"],
          "hi=1000000001 exceeds the configured maximum 1000000000"),
         (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--lags", "0..200",
@@ -205,7 +209,8 @@ def test_sum_command(tmp_path):
          "normality-block-size-zero", "variance-growth-block-size-zero",
          "deviation-n-max-zero", "dependence-checkpoints-without-report",
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
-         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative", "table-hi",
+         "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative",
+         "riemann-check-xi-nan", "deviation-xi-inf", "table-hi",
          "ergodic-lags", "ergodic-n-list"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
@@ -272,6 +277,20 @@ def test_ergodic_command(tmp_path):
     assert cov_lines[0] == "h,r_theoretical_re,r_theoretical_im,r_empirical_re,r_empirical_im"
     assert len(cov_lines) == 7
     assert cov_lines[1].startswith("0,3,")  # R(0) = 2 + 1 = 3
+
+
+def test_ergodic_negative_first_atom_in_either_spelling(tmp_path):
+    # argparse reads a separate value starting with "-" as an option; `run` binds it to --atoms.
+    atoms = "-3.141592653589793:1,3.141592653589793:0.5,1e-09:0.25"
+    outputs = []
+    for i, spelling in enumerate([["--atoms", atoms], [f"--atoms={atoms}"]]):
+        out = tmp_path / f"{i}"
+        out.mkdir()
+        assert run(["ergodic", *spelling, "--n", "1000", "--output", str(out / "cov.csv"),
+                    "--mse-output", str(out / "mse.csv"),
+                    "--autocov-output", str(out / "autocov.csv")]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("cov.csv", "mse.csv", "autocov.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_deviation_command_counting(tmp_path):

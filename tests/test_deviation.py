@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats.deviation import (
+    CHUNK,
     PsiSpec,
+    _chunk_prefixes,
     growth_from_block_sums,
     parse_psi,
     psi,
@@ -188,6 +192,57 @@ def test_late_worst_ratio_survives_pruning():
 def test_pruning_changes_no_report_field(monkeypatch, n_max, segment_size):
     pruned = ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size)
     # An infinite slack makes every bound lose, so every segment is scanned.
+    monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
+    assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
+
+
+@pytest.mark.parametrize("fill", ["random", "ones", "minus_ones"])
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 777, 2**20])
+def test_chunk_prefixes_restart_every_chunk(length, fill):
+    rng = np.random.default_rng(length)
+    vals = {"random": rng.integers(-1, 2, length), "ones": np.ones(length),
+            "minus_ones": -np.ones(length)}[fill].astype(np.int8)
+    t = _chunk_prefixes(vals)
+    chunks = -(-length // CHUNK)
+    assert t.shape == (CHUNK, chunks) and t.dtype == np.int8
+    restarted = np.concatenate([np.cumsum(vals[i : i + CHUNK]) for i in range(0, length, CHUNK)])
+    assert np.array_equal(t.T.reshape(-1)[:length], restarted)
+    # The padding of a short last chunk repeats its last prefix.
+    assert np.all(t[length - (chunks - 1) * CHUNK :, -1] == restarted[-1])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    case=st.integers(1, 70_000).flatmap(
+        # At most 500 segments, so that tiny segment sizes stay quick.
+        lambda size: st.tuples(st.integers(3, min(200_000, 500 * size)), st.just(size))
+    ),
+    xi=st.floats(0.0, 0.3),
+)
+def test_chunked_riemann_check_matches_dense_reference(case, xi):
+    n_max, segment_size = case
+    report = ss.mertens_riemann_check(n_max, xi, segment_size=segment_size)
+    worst, argmax, skipped = _dense_riemann_reference(n_max, xi)
+    assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert (report.argmax_n, report.skipped) == (argmax, skipped)
+
+
+@pytest.mark.parametrize(
+    "n_max, segment_size",
+    [
+        (65, 1 << 20),  # M(65) = 0 is the first value of a chunk padded with zeros
+        (896, 1 << 20),  # M(896) = 0 is the last value of a full chunk
+        (897, 1 << 20),  # one past a chunk edge
+        (1537, 64),  # M(1280) = 0 ends a pruned chunk, M(1537) = 0 starts one
+        (2113, 64),  # ... and n_max one past a segment edge
+        (4609, 128),  # M(4608) = 0 ends a pruned chunk, one before n_max
+    ],
+)
+def test_riemann_check_zeros_on_chunk_edges(monkeypatch, n_max, segment_size):
+    pruned = ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size)
+    worst, argmax, skipped = _dense_riemann_reference(n_max, 0.0)
+    assert pruned.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert (pruned.argmax_n, pruned.skipped) == (argmax, skipped)
     monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
     assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
 
