@@ -169,14 +169,18 @@ def _chunk_prefixes(vals: np.ndarray) -> np.ndarray:
     """Prefix sums of moebius `vals` restarted every CHUNK values: column c is chunk c.
 
     A short last chunk is padded with zeros, so its padding repeats its last
-    prefix.  |prefix| <= CHUNK fits in int8 while CHUNK <= 127.
+    prefix; a segment of one short chunk stops its row adds at its length and
+    copies that prefix into the padding.  |prefix| <= CHUNK fits in int8 while
+    CHUNK <= 127.
     """
     full, rest = divmod(len(vals), CHUNK)
     t = np.zeros((CHUNK, full + (rest > 0)), np.int8)
     t.T[:full] = vals[: full * CHUNK].reshape(full, CHUNK)
     t[:rest, full:] = vals[full * CHUNK :, None]
-    for r in range(1, CHUNK):  # vectorized across chunks, where a cumsum is a serial loop
+    for r in range(1, min(CHUNK, len(vals))):  # vectorized across chunks, where a cumsum is a serial loop
         t[r] += t[r - 1]
+    if len(vals) < CHUNK:
+        t[len(vals) :] = t[len(vals) - 1]
     return t
 
 

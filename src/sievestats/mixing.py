@@ -205,24 +205,21 @@ class PairCounts:
             out.append((int(a @ joint @ a) - mean * heads_tails) / (n - h) + mean * mean)
         return out
 
-    def gap(self, lag: int, b1, b2) -> float:
-        """|P(B1 x B2) - P(B1) P(B2)| over the n - lag pairs, for value subsets B1 and B2."""
-        sel1, sel2 = ([i for i, a in enumerate(self.alphabet) if a in b] for b in (b1, b2))
+    def gaps(self, lag: int, rows1, rows2) -> np.ndarray:
+        """|P(B1 x B2) - P(B1) P(B2)| over the n - lag pairs, for each value subset B1 of
+        `rows1` against each B2 of `rows2`, given as 0/1 indicator rows over the alphabet."""
+        rows1, rows2 = np.asarray(rows1, dtype=np.int64), np.asarray(rows2, dtype=np.int64)
         joint, m = self.joint(lag), self.n - lag
-        cj = int(joint[np.ix_(sel1, sel2)].sum())
-        c1, c2 = int(joint[sel1].sum()), int(joint[:, sel2].sum())
-        return abs(cj / m - (c1 / m) * (c2 / m))
+        cj = rows1 @ joint @ rows2.T
+        c1, c2 = rows1 @ joint.sum(axis=1), rows2 @ joint.sum(axis=0)
+        return np.abs(cj / m - np.outer(c1 / m, c2 / m))
 
     def alpha(self, lag: int) -> float:
-        """Max gap over all pairs of nonempty proper value subsets, from one product of
-        J with the subsets' indicator rows."""
+        """Max gap over all pairs of nonempty proper value subsets."""
         size = len(self.alphabet)
-        subsets = np.array([[i in s for i in range(size)] for k in range(1, size)
-                            for s in combinations(range(size), k)], dtype=np.int64)
-        joint, m = self.joint(lag), self.n - lag
-        cj = subsets @ joint @ subsets.T
-        c1, c2 = subsets @ joint.sum(axis=1), subsets @ joint.sum(axis=0)
-        return float(np.abs(cj / m - np.outer(c1 / m, c2 / m)).max())
+        subsets = [[i in s for i in range(size)] for k in range(1, size)
+                   for s in combinations(range(size), k)]
+        return float(self.gaps(lag, subsets, subsets).max())
 
 
 def _table_pairs(table: ValueTable, n: int) -> PairCounts:
@@ -253,7 +250,8 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     b1, b2 = frozenset(b1), frozenset(b2)
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    return _table_pairs(table, n).gap(lag, b1, b2)
+    rows1, rows2 = ([[a in b for a in alphabet]] for b in (b1, b2))
+    return float(_table_pairs(table, n).gaps(lag, rows1, rows2)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -319,22 +317,9 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
         sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
-    else:  # popcounts of the words below c's own, from an int64 cumsum 2^16 words at a time, plus
-        # the bits of c's own word below c % 64; the last value's count is c less the others'
-        word, bit = np.divmod(np.array(cps, dtype=np.int64), 64)
-        below, buf = (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1), np.empty(1 << 16, np.int64)
-        *packed, last = pairs.alphabet
-        sums = last * np.array(cps, dtype=np.int64)
-        for a, b in zip(packed, pairs.bits):
-            counts, total = np.bitwise_count(b[word] & below).astype(np.int64), 0
-            for lo in range(0, len(b), len(buf)):
-                cum = np.bitwise_count(b[lo : lo + len(buf)], out=buf[: len(b) - lo])
-                np.cumsum(cum, out=cum)  # in place: a cumsum cast from uint8 copies its input
-                i, j = np.searchsorted(word, [lo + 1, lo + len(cum) + 1])  # c with word - 1 in this chunk
-                counts[i:j] += total + cum[word[i:j] - 1 - lo]
-                total += cum[-1]
-            sums += (a - last) * counts
-        sums = sums.tolist()
+    else:  # S(c): each value's counts on [0, c1), [c1, c2), ..., summed up to c, dotted with the alphabet
+        counts = [pairs.range_counts(a, b) for a, b in zip([0, *cps], cps)]
+        sums = (np.cumsum(counts, axis=0) @ pairs.a).tolist()
     traj = [s / c for c, s in zip(cps, sums)]
     c_limit = traj[-1]
     tail = traj[len(traj) // 2 :]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sievestats import cli, mixing, sums
 from sievestats.mixing import (
     DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _range_counts, _value_bits, _window_lag,
 )
+from sievestats.kinds import parse_kind
 from sievestats.sieves import ValueTable, iter_segments
 
 
@@ -206,6 +208,20 @@ def test_independence_gap_prime_lag_one(prime_table_1e4, oracle_prime_flags):
     assert 0.014 < gap < 0.016
 
 
+@pytest.mark.parametrize("table", ["mu_table", "pw_table"])
+@pytest.mark.parametrize("lag", [1, 63, 64, 65])
+def test_independence_gap_three_values_matches_enumeration(request, table, lag):
+    """Every nonempty subset pair of a 3-value alphabet, with lags that shift
+    the joint counts by part of a word, one word and a word and a bit."""
+    n, table = 10**4, request.getfixturevalue(table)
+    alphabet = table.kind.alphabet()
+    subsets = [set(s) for k in (1, 2, 3) for s in combinations(alphabet, k)]
+    values = table.values[:n]
+    for b1 in subsets:
+        for b2 in subsets:
+            assert ss.independence_gap(table, n, lag, b1, b2) == enumeration_gap(values, lag, b1, b2)
+
+
 def test_independence_gap_full_alphabet_is_zero(mu_table):
     assert ss.independence_gap(mu_table, 10**4, 3, {-1, 0, 1}, {0, 1}) == 0.0
     assert ss.independence_gap(mu_table, 10**4, 3, set(), {0, 1}) == 0.0
@@ -388,13 +404,30 @@ def test_stationarity_von_mangoldt_trajectory_matches_accumulate():
 
 @pytest.mark.parametrize("kind", [ss.MOEBIUS, ss.PARITY_WEIGHT, ss.TWIN_PRIME, ss.LIOUVILLE])
 def test_stationarity_trajectory_matches_accumulate_at_word_edges(kind):
-    # The finite-alphabet trajectory takes S(c) from word popcounts, masking
-    # checkpoint c's own word below bit c % 64.
+    # The finite-alphabet trajectory sums `range_counts` between checkpoints,
+    # whose end words are masked at bit c % 64.
     n = 10**5 + 3
     cps = [1, 2, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 99968, n - 1, n]
     report = ss.stationarity_report(kind, n, cps, table=ss.sieve_table(kind, 1, n))
     sums = ss.accumulate(kind, n, cps).sums
     assert report.mean_trajectory == tuple(s / c for c, s in zip(cps, sums))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from([ss.MOEBIUS, ss.PARITY_WEIGHT, ss.TWIN_PRIME, parse_kind("omega_equals:2")]),
+       size=st.integers(1, 5000), data=st.data())
+def test_trajectory_from_range_counts_matches_checkpoint_sums(kind, size, data):
+    """Bitsets packed from segments of any size, bytes entered at their head
+    when a size is not a multiple of 8, give the trajectory the same S(c) as
+    `checkpoint_sums` on the same stream, at checkpoints on word edges."""
+    n = data.draw(st.integers(200, min(2 * 10**5, 500 * size)), label="n")
+    segments = list(iter_segments(kind, 1, n, segment_size=size))
+    words = data.draw(st.lists(st.integers(1, n // 64), max_size=6), label="words")
+    extra = data.draw(st.lists(st.integers(1, n), max_size=6), label="extra")
+    cps = sorted({c for k in words for c in (64 * k - 1, 64 * k, 64 * k + 1) if c <= n} | {*extra, n})
+    report = mixing.report_from_pairs(kind, cps, mixing.PairCounts(n, iter(segments), kind.alphabet()))
+    expected = sums.checkpoint_sums(kind, cps, iter(segments))
+    assert report.mean_trajectory == tuple(s / c for c, s in zip(cps, expected))
 
 
 MEMORY_N = 2**23
@@ -417,8 +450,8 @@ MU, VM = ss.MOEBIUS, ss.VON_MANGOLDT
     [
         ("autocovariance", lambda t: ss.autocovariance(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
         ("alpha_hat", lambda t: ss.alpha_hat(t[MU], MEMORY_N, DEFAULT_REPORT_LAGS), 4),
-        # Its `PairCounts` build, 0.41 B: the trajectory adds only one 2^16-word int64 buffer
-        # to the bitsets' 0.25 B.
+        # Its `PairCounts` build, 0.41 B: the trajectory adds at most one uint8 popcount per
+        # word (n/64 B) to the bitsets' 0.25 B.
         ("stationarity_report", lambda t: _report(t[MU]), 0.42),
         ("moments", lambda t: ss.moments(t[MU], MEMORY_N), 2),
         ("empirical_cdf", lambda t: ss.empirical_cdf(t[MU], MEMORY_N), 2),
@@ -449,7 +482,7 @@ def test_report_from_prebuilt_pairs_peak_memory(memory_tables):
     """The report alone, on bitsets built before tracing: its trajectory and
     covariances, which the `PairCounts` build hides in `stationarity_report`.
 
-    Measured at 0.147 B per value (1.17 MiB at 2^23); the bound leaves 9%.
+    Measured at 0.084 B per value (0.67 MiB at 2^23); the bound leaves 19%.
     """
     pairs = mixing.PairCounts(MEMORY_N, memory_tables[MU].segments(MEMORY_N), MU.alphabet())
     tracemalloc.start()
@@ -458,7 +491,7 @@ def test_report_from_prebuilt_pairs_peak_memory(memory_tables):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.16 * MEMORY_N, f"{peak / MEMORY_N:.3f} B per value"
+    assert peak < 0.10 * MEMORY_N, f"{peak / MEMORY_N:.3f} B per value"
 
 
 def test_stationarity_checkpoint_validation():

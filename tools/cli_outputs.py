@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 93 CLI commands and keep every output.
+"""Run a fixed matrix of 95 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -11,10 +11,11 @@ blocks CSV, 977-value blocks straddling segments) on moebius and von
 Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
-end inside 64-bit words; riemann-check at 10^6 (one segment) and at
-2*10^7, where the chunks of later segments are pruned; ergodic at
-n = 10^5 and, with its MSE and autocovariance outputs, at n = 10^9, and
-at n = 10^6 on atoms at -pi, pi and 10^-9; oeis-check on both vendored
+end inside 64-bit words, and on moebius and the parity weight with report
+checkpoints on word and segment edges; riemann-check at 10^6 (one
+segment) and at 2*10^7, where the chunks of later segments are pruned;
+ergodic at n = 10^5 and, with its MSE and autocovariance outputs, at
+n = 10^9, and at n = 10^6 on atoms at -pi, pi and 10^-9; oeis-check on both vendored
 b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
 the same over 3*10^6 von Mangoldt values; and 16 inputs that
@@ -62,6 +63,8 @@ SPARSE_KINDS = (
     "squarefree_parity_weight",
 )
 SPARSE_CHECKPOINTS = "1,2,10,1000,65536,1000000,4194304,10000000,19999999,20000000"
+#: Report checkpoints on 64-bit word and 2^20-value segment edges, to n = 3000001.
+EDGE_CHECKPOINTS = "1,63,64,65,1048575,1048576,1048577,2097152,3000000,3000001"
 #: 3*10^6 values from a lo inside a 64-bit word, across 2^20-value segments.
 TABLE_LO = 10**8 - 1_234_567
 TABLE_HI = TABLE_LO + 2_999_999
@@ -138,6 +141,11 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         cmds.append((name, ["dependence", "--kind", kind, "--n", "3000001",
                             "--lags", "1..5,63,64,65,1000", "--workers", "2",
                             "--report", str(out / f"{name}.report.json")]))
+    for kind in ("moebius", "squarefree_parity_weight"):
+        name = f"dependence_{kind}_edge_checkpoints"
+        cmds.append((name, ["dependence", "--kind", kind, "--n", "3000001", "--workers", "2",
+                            "--report", str(out / f"{name}.report.json"),
+                            "--checkpoints", EDGE_CHECKPOINTS]))
     for kind in ("moebius", "von_mangoldt"):
         name = f"normality_{kind}_multi_segment"
         cmds += [
