@@ -24,6 +24,10 @@ PRUNE_SLACK = 1.0 + 1e-9
 #: Values per chunk of `mertens_riemann_check`: the grain at which it prunes.
 CHUNK = 64
 
+#: Chunks `mertens_riemann_check` scans unpruned before its first worst ratio
+#: exists; that ratio prunes the rest of their segment.
+HEAD_CHUNKS = 16
+
 #: Block counts, geometric from 30 to all blocks, at which variance growth
 #: estimates h_hat(n).
 GROWTH_GRID_POINTS = 25
@@ -184,6 +188,21 @@ def _chunk_prefixes(vals: np.ndarray) -> np.ndarray:
     return t
 
 
+def _chunk_worst(t, base, starts, keep, hi: int, exponent: float):
+    """(ratio, n) of the first largest log|M(n)| / (exponent log n) over the chunks `keep` of
+    the `_chunk_prefixes` table t, whose M(chunk lo - 1) are `base` and whose first n are
+    `starts`, for 2 <= n <= hi with M(n) != 0; None when there is no such n."""
+    m = np.add(t[:, keep].T, base[keep, None], order="C")  # the chunks in n order
+    n = starts[keep, None] + np.arange(CHUNK)
+    ok = (m != 0) & (n >= 2) & (n <= hi)
+    if not ok.any():
+        return None
+    m, n = np.abs(m[ok]), n[ok]
+    ratios = np.log(m.astype(np.float64)) / (exponent * np.log(n.astype(np.float64)))
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), int(n[i])
+
+
 def mertens_riemann_check(
     n_max: int,
     xi: float,
@@ -198,8 +217,10 @@ def mertens_riemann_check(
     A chunk of CHUNK values from lo >= 2, whose exact max |M| its prefix sums
     give, cannot raise the running worst when log(max |M|) / (exponent *
     log(lo)), widened by PRUNE_SLACK, stays below it; only the other chunks
-    take per-value logarithms.  M moves by at most 1 per step, so only a
-    chunk whose [min M, max M] holds 0 is searched for zeros of M.
+    take per-value logarithms.  Until a worst exists, the first HEAD_CHUNKS
+    chunks of a segment are scanned whole, and the ratio they attain prunes
+    the rest.  M moves by at most 1 per step, so only a chunk whose
+    [min M, max M] holds 0 is searched for zeros of M.
     """
     check_xi(xi)
     if n_max < 2:
@@ -215,19 +236,17 @@ def mertens_riemann_check(
         starts = np.arange(lo, hi + 1, CHUNK)
         z = (bottom <= 0) & (top >= 0)
         skipped += int(np.count_nonzero((t[:, z] == -base[z]) & (starts[z] + steps[:, None] <= hi)))
-        keep = slice(None)
-        if worst is not None:  # set from n = 3 on, so every chunk here starts at lo >= 4
-            peak = np.maximum(np.maximum(top, -bottom), 1)  # a chunk of zeros holds no ratio
-            keep = np.log(peak) / (exponent * np.log(starts)) >= worst / PRUNE_SLACK
-        m = np.add(t[:, keep].T, base[keep, None], order="C")  # surviving chunks in n order
-        n = starts[keep, None] + steps
-        ok = (m != 0) & (n >= 2) & (n <= hi)
-        if ok.any():
-            m, n = np.abs(m[ok]), n[ok]
-            ratios = np.log(m.astype(np.float64)) / (exponent * np.log(n.astype(np.float64)))
-            i = int(np.argmax(ratios))
-            if worst is None or ratios[i] > worst:
-                worst, argmax = float(ratios[i]), int(n[i])
+        parts = [slice(HEAD_CHUNKS), slice(HEAD_CHUNKS, None)] if worst is None else [slice(None)]
+        for part in parts:
+            keep = slice(None)
+            if worst is not None:  # set from n = 3 on, so every chunk here starts at lo >= 4
+                peak = np.maximum(np.maximum(top[part], -bottom[part]), 1)  # a chunk of zeros holds no ratio
+                keep = np.log(peak) / (exponent * np.log(starts[part])) >= worst / PRUNE_SLACK
+                if not keep.any():
+                    continue
+            found = _chunk_worst(t[:, part], base[part], starts[part], keep, hi, exponent)
+            if found is not None and (worst is None or found[0] > worst):
+                worst, argmax = found
     if worst is None:
         raise ValueError("all values skipped (every |M(n)| below 1)")
     return DeviationReport(

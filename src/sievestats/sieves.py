@@ -5,6 +5,17 @@ maximum `DEFAULT_MAX_HI` = 10^9 run in bounded memory.  Segments are
 independent and may be sieved concurrently; results are always delivered in
 ascending order, so downstream reductions stay deterministic.
 
+A segment kernel starts from a residue pattern of the wheel primes 2, 3, 5,
+7, 11 and 13 (`_wheels`, built on first use), copied or tiled from lo mod
+WHEEL = 30030.  Those six primes carry over half of the strided writes of a
+plain sieve; here they cost one copy.  The base primes above 13 then write
+their multiples from offsets found in one vectorized step per segment.  Each
+writes through its strided view in place (`_sieve_steps`), because
+`buf[o::p] += u` writes the view a second time through `__setitem__`.  A step
+at least as long as the segment hits it at most once, so all such steps are
+one scatter.  Primes, units, squares and prime powers are computed once per
+stream (`sieve_base`).
+
 A slow trial-division oracle (`factor_signature`, `oracle_value`) computes
 the same functions straight from the definitions and is the independent
 cross-check used by the test suite.
@@ -13,6 +24,7 @@ cross-check used by the test suite.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import math
@@ -32,6 +44,8 @@ CHUNK_CHARS = 1 << 20  # the most text a cache check or a cache hit's copy reads
 DEFAULT_MAX_HI = 10**9  # the largest hi any sieve accepts; below SIGNATURE_MAX_HI
 LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # sieved by tiling residue patterns mod their product
+WHEEL = math.prod(WHEEL_PRIMES)  # 30030
 
 
 @dataclass(frozen=True)
@@ -90,37 +104,104 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(prime_flags_upto(limit)).astype(np.int64)
 
 
-def _first_multiple(lo: int, step: int) -> int:
-    return ((lo + step - 1) // step) * step
+@dataclass(frozen=True)
+class SieveBase:
+    """Per-stream constants of the segment kernels for values up to a bound: the base
+    primes p <= sqrt(bound), ascending, with L(p) (see `_signature_sign`) and p^2, and the
+    proper prime powers p^k <= bound (k >= 2), ascending, with p and L(p)."""
+
+    primes: np.ndarray
+    units: np.ndarray
+    squares: np.ndarray
+    powers: np.ndarray
+    power_primes: np.ndarray
+    power_units: np.ndarray
 
 
-def _prime_flags_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    if lo == 1:
-        flags[0] = False
-    for p in primes.tolist():
-        if p * p > hi:
-            break
-        start = max(p * p, _first_multiple(lo, p))
-        if start <= hi:
-            flags[start - lo :: p] = False
+def _log_units(primes) -> np.ndarray:
+    """L(p), the least odd integer >= LOG_UNITS*log2(p), of each prime as uint8."""
+    return np.ceil(LOG_UNITS * np.log2(primes)).astype(np.uint8) | 1
+
+
+def sieve_base(bound: int) -> SieveBase:
+    """The `SieveBase` of every segment of values up to `bound`."""
+    primes = base_primes(math.isqrt(bound))
+    owners, powers = [primes], [primes * primes]
+    while len(owners[-1]):
+        keep = powers[-1] <= bound // owners[-1]  # p^(k+1) <= bound
+        owners.append(owners[-1][keep])
+        powers.append(powers[-1][keep] * owners[-1])
+    powers, owners = np.concatenate(powers), np.concatenate(owners)
+    order = np.argsort(powers)
+    owners = owners[order]
+    return SieveBase(primes, _log_units(primes), primes * primes, powers[order], owners, _log_units(owners))
+
+
+@functools.cache
+def _wheels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residues 0..2*WHEEL-1 (two periods) of the patterns each segment starts from: the sum
+    of L(p) (uint8) and the count (int8) of the wheel primes p dividing the residue, and
+    whether the residue is coprime to WHEEL."""
+    units = np.zeros(2 * WHEEL, dtype=np.uint8)
+    count = np.zeros(2 * WHEEL, dtype=np.int8)
+    for p, unit in zip(WHEEL_PRIMES, _log_units(WHEEL_PRIMES)):
+        units[::p] += unit
+        count[::p] += 1
+    patterns = units, count, count == 0
+    for pattern in patterns:  # shared by every caller
+        pattern.flags.writeable = False
+    return patterns
+
+
+def _tiled(pattern: np.ndarray, lo: int, size: int) -> np.ndarray:
+    """A new array of the `size` values of the doubled wheel `pattern` from residue lo % WHEEL on."""
+    start = lo % WHEEL
+    if size <= WHEEL:
+        return pattern[start : start + size].copy()
+    return np.resize(pattern[start : start + WHEEL], size)
+
+
+def _sieve_steps(buf: np.ndarray, offsets: np.ndarray, steps: np.ndarray, units=None) -> None:
+    """buf[o::s] += u, or buf[o::s] = 0 without `units`, for each offset o, step s and unit u.
+
+    `steps` ascend.  A step >= len(buf) hits at most once, so all of those are one scatter.
+    Each smaller step adds through its strided view in place: `buf[o::s] += u` would write
+    the view back through `__setitem__`, a second strided pass.
+    """
+    multi = steps.searchsorted(len(buf))
+    once = offsets[multi:] < len(buf)
+    hits = offsets[multi:][once]
+    if units is None:
+        for o, s in zip(offsets[:multi].tolist(), steps[:multi].tolist()):
+            buf[o::s] = 0
+        buf[hits] = 0
+        return
+    for o, s, u in zip(offsets[:multi].tolist(), steps[:multi].tolist(), units[:multi]):
+        view = buf[o::s]
+        np.add(view, u, out=view)
+    np.add.at(buf, hits, units[multi:][once])
+
+
+def _prime_flags_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
+    flags = _tiled(_wheels()[2], lo, hi - lo + 1)
+    if lo <= WHEEL_PRIMES[-1]:  # below 14 the primes are the wheel primes, which the pattern strikes
+        small = np.arange(lo, min(hi, WHEEL_PRIMES[-1]) + 1)
+        flags[: len(small)] = np.isin(small, WHEEL_PRIMES)
+    live = slice(len(WHEEL_PRIMES), base.squares.searchsorted(hi, "right"))
+    primes, squares = base.primes[live], base.squares[live]
+    _sieve_steps(flags, np.maximum(squares - lo, (-lo) % primes), primes)
     return flags
 
 
-def _squarefree_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+def _squarefree_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
     free = np.ones(hi - lo + 1, dtype=np.int8)
-    for p in primes.tolist():
-        square = p * p
-        if square > hi:
-            break
-        start = _first_multiple(lo, square)
-        if start <= hi:
-            free[start - lo :: square] = 0
+    squares = base.squares[: base.squares.searchsorted(hi, "right")]
+    _sieve_steps(free, (-lo) % squares, squares)
     return free
 
 
 def _signature_sign(
-    lo: int, hi: int, primes: np.ndarray, *, multiplicity: bool, omega=None
+    lo: int, hi: int, base: SieveBase, *, multiplicity: bool, omega=None
 ) -> np.ndarray:
     """(-1)^(prime-factor count) of each n in [lo, hi] as int8, from a log sieve.
 
@@ -128,78 +209,76 @@ def _signature_sign(
     is set; `omega`, if given, gains the distinct-prime count.  A uint8
     accumulator `acc` gains L(p), the least odd integer >= S*log2(p) with
     S = LOG_UNITS = 6, at every multiple of each base prime p (and of p^k when
-    counting multiplicity).  Odd units make `acc & 1` the parity of the sieved
-    count.  `primes` holds every prime up to at least sqrt(hi), 2 included, so
-    they leave over 1 or one prime q > sqrt(hi), with q > m = n/q and q >= 3.
+    counting multiplicity).  It starts from the wheel: the sum of L(p) over the
+    primes p <= 13 dividing n, tiled from the residue of lo mod WHEEL = 30030;
+    the base primes above 13 then add in place.  Odd units make `acc & 1` the
+    parity of the sieved count.  The sieved primes are every prime up to at
+    least sqrt(hi), 2 included, so they leave over 1 or one prime q > sqrt(hi),
+    with q > m = n/q and q >= 3.
     The cofactor shows as a log deficit, acc < S*floor(log2 n), a threshold
     constant on each [2^k, 2^(k+1)).  A fully sieved n has acc >= S*log2(n);
     n = m*q has acc <= S*log2(m) + 2*Omega(m) <= (S+2)*log2(m) < S*(log2(n)-1)
     as (S-2)*log2(q) >= S for q >= 3.  L(p) <= 7*log2(p) for every p, so
     acc <= 7*log2(n) < 252 for n <= SIGNATURE_MAX_HI = 2^36 - 1: no wrap.
     """
-    acc = np.zeros(hi - lo + 1, dtype=np.uint8)
-    units = np.ceil(LOG_UNITS * np.log2(primes)).astype(np.int64) | 1
-    for p, unit in zip(primes.tolist(), units.tolist()):
-        if p > hi:
-            break
-        start = _first_multiple(lo, p)
-        if start > hi:
-            continue
-        acc[start - lo :: p] += unit
-        if omega is not None:
-            omega[start - lo :: p] += 1
-        power = p * p
-        while multiplicity and (start := _first_multiple(lo, power)) <= hi:
-            acc[start - lo :: power] += unit
-            power *= p
+    size = hi - lo + 1
+    wheel_units, wheel_count, _ = _wheels()
+    acc = _tiled(wheel_units, lo, size)
+    live = slice(len(WHEEL_PRIMES), base.primes.searchsorted(hi, "right"))
+    primes = base.primes[live]
+    offsets = (-lo) % primes
+    _sieve_steps(acc, offsets, primes, base.units[live])
+    if omega is not None:
+        omega += _tiled(wheel_count, lo, size)
+        _sieve_steps(omega, offsets, primes, np.broadcast_to(np.int8(1), primes.shape))
+    if multiplicity:
+        powers = base.powers[: base.powers.searchsorted(hi, "right")]
+        _sieve_steps(acc, (-lo) % powers, powers, base.power_units[: len(powers)])
     for k in range(lo.bit_length() - 1, hi.bit_length()):
         part = slice(max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1)
-        cofactor = acc[part] < LOG_UNITS * k
+        bits = acc[part]
+        cofactor = bits < LOG_UNITS * k
         if omega is not None:
-            omega[part] += cofactor
-        acc[part] &= 1
-        acc[part] ^= cofactor
-    return 1 - 2 * acc.view(np.int8)
+            count = omega[part]
+            count += cofactor
+        bits &= 1
+        bits ^= cofactor
+    sign = acc.view(np.int8)
+    sign *= -2
+    sign += 1
+    return sign
 
 
-def _von_mangoldt_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+def _von_mangoldt_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
     lam = np.zeros(hi - lo + 1, dtype=np.float64)
-    flags = _prime_flags_segment(lo, hi, primes)
-    lam[flags] = np.log(np.flatnonzero(flags) + lo)
-    # Proper prime powers p^k (k >= 2) in range all have p <= sqrt(hi).
-    for p in primes.tolist():
-        power = p * p
-        if power > hi:
-            break
-        logp = math.log(p)
-        while power <= hi:
-            if power >= lo:
-                lam[power - lo] = logp
-            power *= p
+    idx = np.flatnonzero(_prime_flags_segment(lo, hi, base))
+    lam[idx] = np.log(idx + lo)
+    first, end = base.powers.searchsorted((lo, hi + 1))  # the proper prime powers in [lo, hi]
+    lam[base.powers[first:end] - lo] = [math.log(p) for p in base.power_primes[first:end].tolist()]
     return lam
 
 
-def _segment_values(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+def _segment_values(kind: FunctionKind, lo: int, hi: int, base: SieveBase) -> np.ndarray:
     tag = kind.tag
     if tag == "prime_indicator":
-        return _prime_flags_segment(lo, hi, primes).astype(np.int8)
+        return _prime_flags_segment(lo, hi, base).astype(np.int8)
     if tag == "twin_prime_indicator":
-        flags = _prime_flags_segment(lo, hi + 2, primes)
+        flags = _prime_flags_segment(lo, hi + 2, base)
         return (flags[:-2] & flags[2:]).astype(np.int8)
     if tag == "squarefree_indicator":
-        return _squarefree_segment(lo, hi, primes)
+        return _squarefree_segment(lo, hi, base)
     if tag in ("moebius", "squarefree_parity_weight"):
-        mu = _squarefree_segment(lo, hi, primes)
-        mu *= _signature_sign(lo, hi, primes, multiplicity=False)
+        mu = _squarefree_segment(lo, hi, base)
+        mu *= _signature_sign(lo, hi, base, multiplicity=False)
         return mu if tag == "moebius" else np.where(mu == 1, 2, mu).astype(np.int8)
     if tag == "liouville":
-        return _signature_sign(lo, hi, primes, multiplicity=True)
+        return _signature_sign(lo, hi, base, multiplicity=True)
     if tag == "omega_equals":
         omega = np.zeros(hi - lo + 1, dtype=np.int8)
-        _signature_sign(lo, hi, primes, multiplicity=True, omega=omega)
+        _signature_sign(lo, hi, base, multiplicity=True, omega=omega)
         return (omega == kind.k).astype(np.int8)
     if tag == "von_mangoldt":
-        return _von_mangoldt_segment(lo, hi, primes)
+        return _von_mangoldt_segment(lo, hi, base)
     raise ValueError(f"unsupported kind: {kind}")
 
 
@@ -233,22 +312,22 @@ def iter_segments(
     see the same stream regardless of scheduling.
     """
     validate_range(lo, hi, segment_size=segment_size)
-    primes = base_primes(math.isqrt(hi + 2))  # +2 covers the twin lookahead
+    base = sieve_base(hi + 2)  # +2 covers the twin lookahead
     bounds = segment_bounds(lo, hi, segment_size)
     if workers <= 1 or len(bounds) == 1:
         for a, b in bounds:
-            yield a, b, _segment_values(kind, a, b, primes)
+            yield a, b, _segment_values(kind, a, b, base)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         it = iter(bounds)
         for a, b in itertools.islice(it, workers + 1):
-            pending.append((a, b, pool.submit(_segment_values, kind, a, b, primes)))
+            pending.append((a, b, pool.submit(_segment_values, kind, a, b, base)))
         while pending:
             a, b, fut = pending.popleft()
             nxt = next(it, None)
             if nxt is not None:
-                pending.append((nxt[0], nxt[1], pool.submit(_segment_values, kind, nxt[0], nxt[1], primes)))
+                pending.append((nxt[0], nxt[1], pool.submit(_segment_values, kind, nxt[0], nxt[1], base)))
             yield a, b, fut.result()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ def test_riemann_check_zeros_on_chunk_edges(monkeypatch, n_max, segment_size):
     assert (pruned.argmax_n, pruned.skipped) == (argmax, skipped)
     monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
     assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
+
+
+def test_riemann_check_peak_memory():
+    """The scan holds about two segments of int8 values and their chunk prefixes.
+
+    Its first segment is pruned too, by the worst ratio of its first
+    HEAD_CHUNKS chunks: 5.5 MiB traced at 2*10^6, 5.3 bytes per value of a
+    2^20-value segment.  With every value of the first segment scanned as
+    int64 and float64, the peak was 43 MiB.
+    """
+    tracemalloc.start()
+    try:
+        ss.mertens_riemann_check(2 * 10**6, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ss.sieves.DEFAULT_SEGMENT_SIZE, f"{peak / 2**20:.2f} MiB"
 
 
 def test_riemann_check_guard_cases():

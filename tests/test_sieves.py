@@ -329,7 +329,10 @@ FIRST_UNSIEVED = 31627
 def _assert_matches_oracle(kind, lo, hi, points=None, **kwargs):
     table = sieve_table(kind, lo, hi, **kwargs)
     for n in range(lo, hi + 1) if points is None else points:
-        assert table.value_at(n) == oracle_value(kind, n), f"{kind} at n={n} in [{lo}, {hi}]"
+        expected = oracle_value(kind, n)
+        if not kind.is_integer_valued:
+            expected = pytest.approx(expected, abs=1e-12)
+        assert table.value_at(n) == expected, f"{kind} at n={n} in [{lo}, {hi}]"
 
 
 def test_first_unsieved_prime_above_1e9_base():
@@ -389,7 +392,7 @@ def test_signature_largest_powers_below_the_cap(kind):
     # 2^35 and 3^22 put 245 and 242 units in the uint8 accumulator.  They lie
     # above DEFAULT_MAX_HI, so the segment kernel is called directly.
     for n in (2**35, 3**22):
-        values = sieves._segment_values(kind, n, n, base_primes(math.isqrt(n + 2)))
+        values = sieves._segment_values(kind, n, n, sieves.sieve_base(n + 2))
         assert values.tolist() == [oracle_value(kind, n)], f"{kind} at n={n}"
 
 
@@ -423,3 +426,40 @@ def test_signature_log_units_are_far_from_rounding_ties():
 def test_signature_kinds_match_oracle_on_random_windows(kind, lo, length, segment_size, workers):
     hi = min(lo + length - 1, 2 * 10**5)
     _assert_matches_oracle(kind, lo, hi, segment_size=segment_size, workers=workers)
+
+
+def test_wheel_patterns_match_their_definitions():
+    units, count, coprime = sieves._wheels()
+    residues = range(2 * sieves.WHEEL)
+    divisors = [[p for p in sieves.WHEEL_PRIMES if r % p == 0] for r in residues]
+    assert sieves.WHEEL == 30030 == math.prod(sieves.WHEEL_PRIMES)
+    assert units.dtype == np.uint8 and count.dtype == np.int8 and coprime.dtype == bool
+    assert units.tolist() == [sum(math.ceil(LOG_UNITS * math.log2(p)) | 1 for p in d) for d in divisors]
+    assert count.tolist() == [len(d) for d in divisors]
+    assert coprime.tolist() == [math.gcd(r, sieves.WHEEL) == 1 for r in residues]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+@pytest.mark.parametrize("k", [1, 2, 33300])  # 30030 * 33300 = 999999000, the last edge below the cap
+def test_windows_across_wheel_edges_match_oracle(kind, k):
+    # Each segment starts from the wheel patterns at the residue of its lo; a
+    # window across k * 30030 reads them across the end of a period.
+    edge = k * sieves.WHEEL
+    for segment_size in (1, 3, 7, 40, 41):
+        _assert_matches_oracle(kind, edge - 20, edge + 20, segment_size=segment_size)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_windows_from_the_wheel_primes_match_oracle(kind):
+    # From lo <= 13 the first segment holds wheel primes, which the patterns
+    # strike as multiples; segments of 30029-30031 values are copied from the
+    # patterns or tiled past one period.
+    for lo in (1, 2, 3, 5, 12, 13):
+        for segment_size in (1, 2, 3, 4, 5):
+            _assert_matches_oracle(kind, lo, 60, segment_size=segment_size)
+    hi = 3 * sieves.WHEEL + 50
+    for segment_size in (sieves.WHEEL - 1, sieves.WHEEL, sieves.WHEEL + 1):
+        for lo in (1, 13):
+            starts = [*range(lo, hi + 1, segment_size), *range(0, hi + 1, sieves.WHEEL)]
+            points = sorted({n for s in starts for n in range(s - 20, s + 20) if lo <= n <= hi})
+            _assert_matches_oracle(kind, lo, hi, points=[*range(lo, 300), *points], segment_size=segment_size)
