@@ -24,10 +24,6 @@ PRUNE_SLACK = 1.0 + 1e-9
 #: Values per chunk of `mertens_riemann_check`: the grain at which it prunes.
 CHUNK = 64
 
-#: Chunks `mertens_riemann_check` scans unpruned before its first worst ratio
-#: exists; that ratio prunes the rest of their segment.
-HEAD_CHUNKS = 16
-
 #: Block counts, geometric from 30 to all blocks, at which variance growth
 #: estimates h_hat(n).
 GROWTH_GRID_POINTS = 25
@@ -169,40 +165,6 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
     return _worst_report(series, c, lambda n, s: exponent_ratio(n, s, c, xi), xi=xi)
 
 
-def _chunk_prefixes(vals: np.ndarray) -> np.ndarray:
-    """Prefix sums of moebius `vals` restarted every CHUNK values: column c is chunk c.
-
-    A short last chunk is padded with zeros, so its padding repeats its last
-    prefix; a segment of one short chunk stops its row adds at its length and
-    copies that prefix into the padding.  |prefix| <= CHUNK fits in int8 while
-    CHUNK <= 127.
-    """
-    full, rest = divmod(len(vals), CHUNK)
-    t = np.zeros((CHUNK, full + (rest > 0)), np.int8)
-    t.T[:full] = vals[: full * CHUNK].reshape(full, CHUNK)
-    t[:rest, full:] = vals[full * CHUNK :, None]
-    for r in range(1, min(CHUNK, len(vals))):  # vectorized across chunks, where a cumsum is a serial loop
-        t[r] += t[r - 1]
-    if len(vals) < CHUNK:
-        t[len(vals) :] = t[len(vals) - 1]
-    return t
-
-
-def _chunk_worst(t, base, starts, keep, hi: int, exponent: float):
-    """(ratio, n) of the first largest log|M(n)| / (exponent log n) over the chunks `keep` of
-    the `_chunk_prefixes` table t, whose M(chunk lo - 1) are `base` and whose first n are
-    `starts`, for 2 <= n <= hi with M(n) != 0; None when there is no such n."""
-    m = np.add(t[:, keep].T, base[keep, None], order="C")  # the chunks in n order
-    n = starts[keep, None] + np.arange(CHUNK)
-    ok = (m != 0) & (n >= 2) & (n <= hi)
-    if not ok.any():
-        return None
-    m, n = np.abs(m[ok]), n[ok]
-    ratios = np.log(m.astype(np.float64)) / (exponent * np.log(n.astype(np.float64)))
-    i = int(np.argmax(ratios))
-    return float(ratios[i]), int(n[i])
-
-
 def mertens_riemann_check(
     n_max: int,
     xi: float,
@@ -214,39 +176,56 @@ def mertens_riemann_check(
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
     unreliable here.  Streams over sieve segments, so memory stays bounded.
-    A chunk of CHUNK values from lo >= 2, whose exact max |M| its prefix sums
-    give, cannot raise the running worst when log(max |M|) / (exponent *
-    log(lo)), widened by PRUNE_SLACK, stays below it; only the other chunks
-    take per-value logarithms.  Until a worst exists, the first HEAD_CHUNKS
-    chunks of a segment are scanned whole, and the ratio they attain prunes
-    the rest.  M moves by at most 1 per step, so only a chunk whose
-    [min M, max M] holds 0 is searched for zeros of M.
+    Each segment is read in chunks of CHUNK values, whose totals give
+    a = M(lo - 1) and b = M(hi) for every chunk [lo, hi] of s values.  M moves
+    by at most 1 per step, so M(n) <= a + (n - lo + 1) and M(n) <= b + (hi - n)
+    on the chunk, and the same below: M lies in [(a + b - s)/2, (a + b + s)/2].
+    Hence max |M| <= floor((|a + b| + s)/2) there, and M can be 0 only when
+    |a + b| <= s.  Every ratio at a chunk end is attained, so the running
+    worst and the largest chunk-end ratio of the segment, or 0 before any
+    ratio exists, bound the segment's worst from below: a chunk whose
+    log(max |M|) / (exponent * log(max(lo, 2))), widened by PRUNE_SLACK,
+    stays below that floor cannot hold the worst ratio.  Only the other chunks
+    take per-value logarithms, and only they and the chunks that may hold a
+    zero of M are summed value by value.
     """
     check_xi(xi)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     exponent = 0.5 + xi
+
+    def ratios(m, n):
+        return np.log(np.abs(m).astype(np.float64)) / (exponent * np.log(n.astype(np.float64)))
+
     running, worst, argmax, skipped = 0, None, 0, 1  # n = 1 is skipped
     steps = np.arange(CHUNK)
     for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size, workers=workers):
-        t = _chunk_prefixes(vals)
-        ends = np.cumsum(t[-1], dtype=np.int64) + running  # M(chunk hi)
-        base, running = ends - t[-1], int(ends[-1])  # M(chunk lo - 1)
-        top, bottom = t.max(axis=0) + base, t.min(axis=0) + base
-        starts = np.arange(lo, hi + 1, CHUNK)
-        z = (bottom <= 0) & (top >= 0)
-        skipped += int(np.count_nonzero((t[:, z] == -base[z]) & (starts[z] + steps[:, None] <= hi)))
-        parts = [slice(HEAD_CHUNKS), slice(HEAD_CHUNKS, None)] if worst is None else [slice(None)]
-        for part in parts:
-            keep = slice(None)
-            if worst is not None:  # set from n = 3 on, so every chunk here starts at lo >= 4
-                peak = np.maximum(np.maximum(top[part], -bottom[part]), 1)  # a chunk of zeros holds no ratio
-                keep = np.log(peak) / (exponent * np.log(starts[part])) >= worst / PRUNE_SLACK
-                if not keep.any():
-                    continue
-            found = _chunk_worst(t[:, part], base[part], starts[part], keep, hi, exponent)
-            if found is not None and (worst is None or found[0] > worst):
-                worst, argmax = found
+        offsets = np.arange(0, len(vals), CHUNK)
+        totals = np.add.reduceat(vals, offsets, dtype=np.int16)  # |total| <= CHUNK
+        ends = np.cumsum(totals, dtype=np.int64) + running  # M(chunk hi)
+        base, running = ends - totals, int(ends[-1])  # M(chunk lo - 1)
+        sizes = np.minimum(len(vals) - offsets, CHUNK)
+        starts, stops = offsets + lo, offsets + (lo - 1) + sizes
+        attained = (ends != 0) & (stops >= 2)
+        floor = max(worst or 0.0, float(ratios(ends[attained], stops[attained]).max(initial=0.0)))
+        pair = np.abs(base + ends)  # |a + b|
+        peak = np.maximum((pair + sizes) // 2, 1)  # a chunk of zeros holds no ratio
+        keep = np.log(peak) / (exponent * np.log(np.maximum(starts, 2))) >= floor / PRUNE_SLACK
+        rows = np.flatnonzero(keep | (pair <= sizes))
+        if not len(rows):  # short segments often prune every chunk
+            continue
+        inside = steps < sizes[rows, None]  # a short last chunk
+        m = np.take(vals, offsets[rows, None] + steps, mode="clip").cumsum(axis=1, dtype=np.int32)
+        skipped += int(np.count_nonzero((m == -base[rows, None]) & inside))
+        live = keep[rows]
+        rows, m, inside = rows[live], m[live], inside[live]
+        m, n = m + base[rows, None], starts[rows, None] + steps
+        ok = (m != 0) & inside & (n >= 2)
+        if ok.any():
+            r, n = ratios(m[ok], n[ok]), n[ok]
+            i = int(np.argmax(r))
+            if worst is None or r[i] > worst:
+                worst, argmax = float(r[i]), int(n[i])
     if worst is None:
         raise ValueError("all values skipped (every |M(n)| below 1)")
     return DeviationReport(

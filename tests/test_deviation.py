@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats.deviation import (
-    CHUNK,
     PsiSpec,
-    _chunk_prefixes,
     growth_from_block_sums,
     parse_psi,
     psi,
@@ -152,8 +150,13 @@ def test_riemann_check_dense_vs_checkpoint_scan():
 
 def _dense_riemann_reference(n_max, xi):
     """(worst_ratio, argmax_n, skipped) from one unsegmented, unpruned pass."""
-    m = np.cumsum(ss.sieve_table(ss.MOEBIUS, 1, n_max).values, dtype=np.int64)
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    return _dense_walk_reference(ss.sieve_table(ss.MOEBIUS, 1, n_max).values, xi)
+
+
+def _dense_walk_reference(vals, xi):
+    """The same over the walk M(n) = vals[0] + ... + vals[n - 1]."""
+    m = np.cumsum(vals, dtype=np.int64)
+    ns = np.arange(1, len(vals) + 1, dtype=np.float64)
     mask = (np.abs(m) >= 1) & (ns >= 2)
     ratios = np.log(np.abs(m[mask]).astype(np.float64)) / ((0.5 + xi) * np.log(ns[mask]))
     i = int(np.argmax(ratios))
@@ -197,21 +200,6 @@ def test_pruning_changes_no_report_field(monkeypatch, n_max, segment_size):
     assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
 
 
-@pytest.mark.parametrize("fill", ["random", "ones", "minus_ones"])
-@pytest.mark.parametrize("length", [1, 63, 64, 65, 777, 2**20])
-def test_chunk_prefixes_restart_every_chunk(length, fill):
-    rng = np.random.default_rng(length)
-    vals = {"random": rng.integers(-1, 2, length), "ones": np.ones(length),
-            "minus_ones": -np.ones(length)}[fill].astype(np.int8)
-    t = _chunk_prefixes(vals)
-    chunks = -(-length // CHUNK)
-    assert t.shape == (CHUNK, chunks) and t.dtype == np.int8
-    restarted = np.concatenate([np.cumsum(vals[i : i + CHUNK]) for i in range(0, length, CHUNK)])
-    assert np.array_equal(t.T.reshape(-1)[:length], restarted)
-    # The padding of a short last chunk repeats its last prefix.
-    assert np.all(t[length - (chunks - 1) * CHUNK :, -1] == restarted[-1])
-
-
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     case=st.integers(1, 70_000).flatmap(
@@ -248,13 +236,45 @@ def test_riemann_check_zeros_on_chunk_edges(monkeypatch, n_max, segment_size):
     assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
 
 
-def test_riemann_check_peak_memory():
-    """The scan holds about two segments of int8 values and their chunk prefixes.
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 200)), min_size=1, max_size=20),
+    segment_size=st.integers(1, 700),
+)
+def test_riemann_check_on_walks_that_meet_the_chunk_bound(runs, segment_size):
+    """Long runs of one step meet the chunk enclosure of M with equality, as mu never does.
 
-    Its first segment is pruned too, by the worst ratio of its first
-    HEAD_CHUNKS chunks: 5.5 MiB traced at 2*10^6, 5.3 bytes per value of a
-    2^20-value segment.  With every value of the first segment scanned as
-    int64 and float64, the peak was 43 MiB.
+    The walk starts at M(1) = 1, as mu does, because n = 1 is counted as skipped up front.
+    """
+    vals = np.repeat(np.array([1, *(v for v, _ in runs)], np.int8), [1, *(k for _, k in runs)])
+
+    def walk(kind, lo, hi, *, segment_size, workers):
+        for a in range(lo, hi + 1, segment_size):
+            yield a, min(a + segment_size - 1, hi), vals[a - 1 : a - 1 + segment_size]
+
+    expected = None
+    if np.any(np.cumsum(vals, dtype=np.int64)[1:]):
+        expected = _dense_walk_reference(vals, 0.0)
+    for slack in (ss.deviation.PRUNE_SLACK, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ss.deviation, "iter_segments", walk)
+            mp.setattr(ss.deviation, "PRUNE_SLACK", slack)
+            if expected is None:
+                with pytest.raises(ValueError, match="skipped"):
+                    ss.mertens_riemann_check(len(vals), 0.0, segment_size=segment_size)
+                continue
+            report = ss.mertens_riemann_check(len(vals), 0.0, segment_size=segment_size)
+        assert report.worst_ratio == pytest.approx(expected[0], rel=1e-12)
+        assert (report.argmax_n, report.skipped) == expected[1:]
+
+
+def test_riemann_check_peak_memory():
+    """The scan holds about two segments of int8 values and their chunk totals.
+
+    Its first segment is pruned too, by the largest ratio at its chunk ends:
+    5.5 MiB traced at 2*10^6, 5.3 bytes per value of a 2^20-value segment.
+    With every value of the first segment scanned as int64 and float64, the
+    peak was 43 MiB.
     """
     tracemalloc.start()
     try:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 95 CLI commands and keep every output.
+"""Run a fixed matrix of 100 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -13,12 +13,14 @@ shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
 end inside 64-bit words, and on moebius and the parity weight with report
 checkpoints on word and segment edges; riemann-check at 10^6 (one
-segment) and at 2*10^7, where the chunks of later segments are pruned;
+segment), at 2*10^7, where the chunks of later segments are pruned, at
+2^20 + 1 (a one-value last segment), at 4*10^5 with xi = 0.3, and at
+n = 3 and n = 5, where the worst ratio is 0 or set at n_max;
 ergodic at n = 10^5 and, with its MSE and autocovariance outputs, at
 n = 10^9, and at n = 10^6 on atoms at -pi, pi and 10^-9; oeis-check on both vendored
 b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
-the same over 3*10^6 von Mangoldt values; and 16 inputs that
+the same over 3*10^6 von Mangoldt values; and 17 inputs that
 must be refused (exit status 2, one error line, no output file).  Each
 command writes its outputs under OUTDIR, and `exit_codes.txt` records every
 exit status and error line, so running this on two checkouts and comparing
@@ -119,6 +121,10 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("riemann-check_xi0.1", ["riemann-check", "--n-max", n, "--xi", "0.1", "--workers", "2"]),
         ("riemann-check_n2e7_xi0", ["riemann-check", "--n-max", str(SPARSE_N)]),
         ("riemann-check_n2e7_xi0.02", ["riemann-check", "--n-max", str(SPARSE_N), "--xi", "0.02"]),
+        ("riemann-check_one_value_last_segment", ["riemann-check", "--n-max", "1048577"]),
+        ("riemann-check_n4e5_xi0.3", ["riemann-check", "--n-max", "400000", "--xi", "0.3"]),
+        ("riemann-check_n3", ["riemann-check", "--n-max", "3"]),
+        ("riemann-check_n5", ["riemann-check", "--n-max", "5"]),
         ("ergodic", ["ergodic", "--atoms", "0:2,1.0471975511965976:1,-2.5:0.5", "--n", "100000",
                      "--seed", "7", "--n-list", "10,100,1000,10000",
                      "--mse-output", str(out / "ergodic.mse.csv"),
@@ -192,6 +198,7 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("refuse_deviation_xi_negative",
          ["deviation", "--kind", "moebius", "--n-max", n, "--mode", "exponent", "--xi", "-1"]),
         ("refuse_riemann-check_xi_nan", ["riemann-check", "--n-max", "100000", "--xi", "nan"]),
+        ("refuse_riemann-check_all_skipped", ["riemann-check", "--n-max", "2"]),
         ("refuse_dependence_von_mangoldt_above_limit",
          ["dependence", "--kind", "von_mangoldt", "--n", "10000001"]),
     ]
