@@ -432,16 +432,57 @@ def oracle_value(kind: FunctionKind, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _line_rows(alphabet) -> np.ndarray:
+    """256 `V{width}` rows, one per int8 byte: each alphabet value's line `f"{v}\\n"`, zero-padded
+    on the left to the longest line's width, sits at the row of its byte v mod 256; the rows of
+    every other byte are all zero, so they hold no newline."""
+    width = max(len(f"{v}\n") for v in alphabet)
+    rows = np.zeros((256, width), dtype=np.uint8)
+    for v in alphabet:
+        line = f"{v}\n".encode()
+        rows[v % 256, width - len(line) :] = list(line)
+    return rows.view(f"V{width}")[:, 0]
+
+
+def _refuse_outside(kind: FunctionKind, values: np.ndarray) -> None:
+    """Raise ValueError naming the first of `values` outside `kind`'s alphabet, if any."""
+    if (outside := values[~np.isin(values, kind.alphabet())]).size:
+        raise ValueError(f"{kind} takes no value {outside[0]}; its alphabet is {kind.alphabet()}")
+
+
+def _integer_lines(kind: FunctionKind, rows: np.ndarray, values: np.ndarray) -> str:
+    """The lines of an integer kind's `values`: one `np.take` of their `_line_rows` by byte, then
+    the padding deleted.  A value outside the alphabet takes a row with no newline and is refused."""
+    if values.dtype != np.int8:  # read by value, never by the bytes of a wider item
+        _refuse_outside(kind, values)
+        values = values.astype(np.int8)
+    lines = np.take(rows, values.view(np.uint8))
+    if not lines.view(np.uint8)[rows.itemsize - 1 :: rows.itemsize].all():  # each line's last byte
+        _refuse_outside(kind, values)
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _von_mangoldt_lines(values: np.ndarray) -> str:
+    """One line per value: each log to 17 digits, after the run of "0" lines before it."""
+    at = np.flatnonzero(values)
+    zeros = np.diff(at, prepend=-1, append=len(values)) - 1  # before each log, then after the last
+    logs = [f"{x:.17g}\n" for x in values[at].tolist()]
+    return "".join(["0\n" * z + log for z, log in zip(zeros.tolist(), [*logs, ""])])
+
+
 def table_pieces(kind: FunctionKind, lo: int, hi: int, segments) -> Iterator[str]:
     """Cache format of f on [lo, hi]: the header `kind,lo,hi`, then one line per value, as one
     str per segment of the ascending (lo, hi, values) `segments` covering [lo, hi].  Integer lines
-    are looked up, one per alphabet value; von Mangoldt's zeros print as "0", its logs to 17 digits."""
+    are looked up from `_line_rows`, and a value outside the alphabet raises ValueError; von
+    Mangoldt's zeros print as "0", its logs to 17 digits."""
     alphabet = kind.alphabet()
-    lines = {v: f"{v}\n" for v in alphabet} if alphabet else None
-    line = lines.__getitem__ if lines else lambda v: f"{v:.17g}\n" if v else "0\n"
+    if alphabet:
+        lines = functools.partial(_integer_lines, kind, _line_rows(alphabet))
+    else:
+        lines = _von_mangoldt_lines
     yield f"{kind},{lo},{hi}\n"
     for _, _, values in segments:
-        yield "".join(map(line, values.tolist()))
+        yield lines(values)
 
 
 def table_text(table: ValueTable) -> str:

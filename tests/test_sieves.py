@@ -229,6 +229,88 @@ def test_table_text_renders_integers_as_str(kind):
     assert table_text(table) == f"{kind},{10**6 - 2000},{10**6}\n{body}\n"
 
 
+#: Every kind, with omega = k for k = 1..6.
+RENDER_KINDS = [k for k in ALL_KINDS if k.tag != "omega_equals"] + [ss.omega_equals(k) for k in range(1, 7)]
+
+
+def _reference_line(kind, v):
+    if kind.is_integer_valued:
+        return f"{v}\n"
+    return f"{v:.17g}\n" if v else "0\n"
+
+
+def _reference_pieces(kind, lo, hi, segments):
+    """`table_pieces` as the format defines it, one value at a time."""
+    pieces = ("".join(_reference_line(kind, v) for v in values.tolist()) for _, _, values in segments)
+    return [f"{kind},{lo},{hi}\n", *pieces]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(RENDER_KINDS),
+    lo=st.integers(1, 10**6),
+    segment_size=st.integers(1, 5000),
+    segments=st.integers(1, 3),
+    short=st.integers(0, 4999),
+)
+def test_table_pieces_match_per_value_lines(kind, lo, segment_size, segments, short):
+    hi = lo + segments * segment_size - 1 - short % segment_size  # the last segment may be short
+    parts = list(sieves.iter_segments(kind, lo, hi, segment_size=segment_size))
+    assert list(sieves.table_pieces(kind, lo, hi, parts)) == _reference_pieces(kind, lo, hi, parts)
+
+
+#: von Mangoldt's zero and logs of primes; integer kinds use their alphabets.
+LOGS = (0.0, math.log(2), math.log(3), math.log(999_983))
+
+
+@pytest.mark.parametrize("kind, value", [(k, v) for k in RENDER_KINDS for v in k.alphabet() or LOGS], ids=str)
+def test_table_pieces_render_each_value_at_segment_ends(kind, value):
+    """A segment that starts and ends with `value`, with every other value between; a second
+    segment repeats it."""
+    between = kind.alphabet() or LOGS
+    values = np.array([value, *between, *between[::-1], value], dtype=np.int8 if kind.alphabet() else float)
+    n = len(values)
+    parts = [(1, n, values), (n + 1, 2 * n, values)]
+    assert list(sieves.table_pieces(kind, 1, 2 * n, parts)) == _reference_pieces(kind, 1, 2 * n, parts)
+
+
+def _outside(kind):
+    """Integer values outside `kind`'s alphabet: its gaps, its least - 1, its largest + 1 and the
+    int8 extremes."""
+    alphabet = kind.alphabet()
+    return sorted({*range(alphabet[0] - 1, alphabet[-1] + 2), -128, 127} - set(alphabet))
+
+
+@pytest.mark.parametrize(
+    "kind, value", [(k, v) for k in RENDER_KINDS if k.is_integer_valued for v in _outside(k)], ids=str
+)
+def test_table_pieces_refuse_values_outside_the_alphabet(kind, value):
+    values = np.array([*kind.alphabet(), value, *kind.alphabet()], dtype=np.int8)
+    with pytest.raises(ValueError, match=re.escape(f"{kind} takes no value {value};")):
+        list(sieves.table_pieces(kind, 1, len(values), [(1, len(values), values)]))
+
+
+@pytest.mark.parametrize(
+    "values, refused",
+    [
+        (np.array([-1, 0, 1], dtype=np.int64), None),
+        (np.array([1.0, -1.0, 0.0]), None),
+        (np.array([1, 257], dtype=np.int16), "257"),  # its low byte is 1
+        (np.array([1, -255], dtype=np.int64), "-255"),  # its low byte is 1
+        (np.array([0, 0.5]), "0.5"),
+        (np.array([0, np.nan]), "nan"),
+    ],
+    ids=["int64", "float", "int16-257", "int64--255", "float-0.5", "nan"],
+)
+def test_table_pieces_read_wider_arrays_by_value(values, refused):
+    pieces = sieves.table_pieces(ss.MOEBIUS, 1, len(values), [(1, len(values), values)])
+    if refused is None:
+        assert "".join(pieces) == f"moebius,1,{len(values)}\n" + "".join(f"{int(v)}\n" for v in values)
+    else:
+        with pytest.raises(ValueError, match=f"moebius takes no value {refused};"):
+            list(pieces)
+
+
 def test_csv_cache_rejects_out_of_alphabet_values(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("moebius,1,3\n1\n300\n-1\n")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 100 CLI commands and keep every output.
+"""Run a fixed matrix of 106 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -19,7 +19,9 @@ n = 3 and n = 5, where the worst ratio is 0 or set at n_max;
 ergodic at n = 10^5 and, with its MSE and autocovariance outputs, at
 n = 10^9, and at n = 10^6 on atoms at -pi, pi and 10^-9; oeis-check on both vendored
 b-files; `table` over 3*10^6 values from an unaligned lo on
-moebius and von Mangoldt; a moebius table cache miss followed by a hit, and
+moebius, von Mangoldt, the parity weight, Liouville, omega = 3 and the prime
+indicator; a table of the one value 2^20 and one of [1, 2^20 + 1], whose last
+segment holds one value; a moebius table cache miss followed by a hit, and
 the same over 3*10^6 von Mangoldt values; and 17 inputs that
 must be refused (exit status 2, one error line, no output file).  Each
 command writes its outputs under OUTDIR, and `exit_codes.txt` records every
@@ -162,9 +164,15 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     cache = ["table", "--kind", "moebius", "--lo", str(N - 99_999), "--hi", n,
              "--workers", "2", "--cache-dir", str(out / "cache")]
     cmds += [("table_cache_miss", cache), ("table_cache_hit", cache)]
-    for kind in ("moebius", "von_mangoldt"):
-        cmds.append((f"table_{kind}_multi_segment",
+    for kind in ("moebius", "von_mangoldt", "squarefree_parity_weight", "liouville", "omega_equals:3",
+                 "prime_indicator"):
+        cmds.append((f"table_{kind.replace(':', '_')}_multi_segment",
                      ["table", "--kind", kind, "--lo", str(TABLE_LO), "--hi", str(TABLE_HI)]))
+    cmds += [
+        ("table_one_value", ["table", "--kind", "moebius", "--lo", "1048576", "--hi", "1048576"]),
+        ("table_one_value_last_segment",
+         ["table", "--kind", "squarefree_parity_weight", "--lo", "1", "--hi", "1048577"]),
+    ]
     cache = ["table", "--kind", "von_mangoldt", "--lo", str(TABLE_LO), "--hi", str(TABLE_HI),
              "--workers", "2", "--cache-dir", str(out / "cache")]
     cmds += [("table_cache_miss_von_mangoldt", cache), ("table_cache_hit_von_mangoldt", cache)]
