@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .normality import block_count, block_sums
 from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments
-from .sums import SummationSeries
+
+if TYPE_CHECKING:
+    from .sums import SummationSeries
 
 #: Relative widening of the pruning bound in `mertens_riemann_check`; far
 #: above the few-ulp rounding of the log and division that compute a ratio.
@@ -268,6 +270,8 @@ def variance_growth(
 
     Near-linear variance growth shows up as a log-log slope near zero.
     """
+    from .normality import block_count, block_sums
+
     end = block_count(n_max, block_size) * block_size
     segments = iter_segments(kind, 1, end, **kwargs)
     return growth_from_block_sums(block_sums(kind, end, block_size, segments), block_size)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .kinds import FunctionKind
 from .sieves import ValueTable
-from .sums import accumulate
 
 #: Histograms are kept only for alphabets up to this many distinct values.
 HISTOGRAM_LIMIT = 64
@@ -82,6 +81,8 @@ def density(kind: FunctionKind, n: int, **kwargs) -> float:
         raise ValueError(f"density requires an indicator kind, got {kind}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .sums import accumulate
+
     return accumulate(kind, n, [n], **kwargs).sums[0] / n
 
 

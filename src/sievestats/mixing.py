@@ -16,7 +16,6 @@ import numpy as np
 
 from .kinds import VON_MANGOLDT, FunctionKind
 from .sieves import ValueTable, segment_bounds, table_from_segments
-from .spectral import empirical_autocovariance
 from .sums import checkpoint_sums, validate_checkpoints
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
@@ -191,6 +190,8 @@ class PairCounts:
     def covariances(self, lags, start: int = 0, stop: int | None = None) -> list[float]:
         """Centered covariances on [start, stop): cross = a.J.a, head and tail sums from J."""
         if self.alphabet is None:
+            from .spectral import empirical_autocovariance
+
             return empirical_autocovariance(self.values[start:stop], lags).tolist()
         n, a = (stop or self.n) - start, self.a
         counts = self.range_counts(start, stop or self.n)

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kinds import FunctionKind
-from .sieves import ValueTable
+
+if TYPE_CHECKING:
+    from .sieves import ValueTable
 
 _SQRT2 = math.sqrt(2.0)
 

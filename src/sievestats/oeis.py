@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .sums import SummationSeries
-
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -74,6 +72,8 @@ def oeis_check(computed, bfile: BFile) -> list[tuple[int, int, int]]:
     `computed` is a SummationSeries or any index -> value mapping.  An empty
     result means full agreement on the overlap; no overlap at all is an error.
     """
+    from .sums import SummationSeries
+
     if isinstance(computed, SummationSeries):
         mapping = computed.as_map()
     elif isinstance(computed, Mapping):

@@ -29,9 +29,7 @@ import io
 import itertools
 import math
 import os
-import tempfile
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,6 +39,7 @@ from .kinds import FunctionKind, parse_kind
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # cache-resident marking buffers
 CHUNK_CHARS = 1 << 20  # the most text a cache check or a cache hit's copy reads at once
+TAKE_VALUES = 1 << 14  # values rendered at once: `np.take` copies its indices to intp
 DEFAULT_MAX_HI = 10**9  # the largest hi any sieve accepts; below SIGNATURE_MAX_HI
 LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
@@ -318,6 +317,8 @@ def iter_segments(
         for a, b in bounds:
             yield a, b, _segment_values(kind, a, b, base)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         it = iter(bounds)
@@ -451,15 +452,21 @@ def _refuse_outside(kind: FunctionKind, values: np.ndarray) -> None:
 
 
 def _integer_lines(kind: FunctionKind, rows: np.ndarray, values: np.ndarray) -> str:
-    """The lines of an integer kind's `values`: one `np.take` of their `_line_rows` by byte, then
-    the padding deleted.  A value outside the alphabet takes a row with no newline and is refused."""
+    """The lines of an integer kind's `values`, TAKE_VALUES at a time: their `_line_rows` by byte,
+    taken into one reused buffer, then the padding deleted.  A value outside the alphabet takes a
+    row with no newline and is refused."""
     if values.dtype != np.int8:  # read by value, never by the bytes of a wider item
         _refuse_outside(kind, values)
         values = values.astype(np.int8)
-    lines = np.take(rows, values.view(np.uint8))
-    if not lines.view(np.uint8)[rows.itemsize - 1 :: rows.itemsize].all():  # each line's last byte
-        _refuse_outside(kind, values)
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    index = values.view(np.uint8)
+    buffer, texts = np.empty(min(len(index), TAKE_VALUES), dtype=rows.dtype), []
+    for at in range(0, len(index), TAKE_VALUES):
+        part = index[at : at + TAKE_VALUES]
+        lines = np.take(rows, part, out=buffer[: len(part)])
+        if not lines.view(np.uint8)[rows.itemsize - 1 :: rows.itemsize].all():  # each line's last byte
+            _refuse_outside(kind, values)
+        texts.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(texts)
 
 
 def _von_mangoldt_lines(values: np.ndarray) -> str:
@@ -494,6 +501,8 @@ def table_text(table: ValueTable) -> str:
 def atomic_writer(path):
     """A text handle on a temporary file beside `path`, renamed over `path` on a clean exit;
     on any failure the temporary file is removed, so no partial file is left at `path`."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with open(fd, "w", newline="\n") as fh:
@@ -511,22 +520,33 @@ def write_table_csv(table: ValueTable, path) -> str:
     return text
 
 
+def _line_after(fh, chars: int) -> int:
+    """The number of the line that follows the first `chars` characters of `fh`, read again
+    from the start at most CHUNK_CHARS at a time."""
+    fh.seek(0)
+    reads = (fh.read(min(CHUNK_CHARS, chars - at)) for at in range(0, chars, CHUNK_CHARS))
+    return 1 + sum(text.count("\n") for text in reads)
+
+
 def checked_pieces(fh, pieces) -> Iterator[str]:
     """Each of `pieces`, once the text file `fh` (opened with newline="") was found to hold it
     next, read at most CHUNK_CHARS characters at a time; after the last, `fh` must end.  The first
-    difference raises ValueError naming its line, what `fh` holds there and what `table` writes."""
-    line = 1  # the number of the piece's first line
+    difference raises ValueError naming its line, what `fh` holds there and what `table` writes.
+    Lines are counted only then, in the text before the piece, which `fh` was found to hold."""
+    matched = 0  # the characters of `fh` found to hold the pieces before this one
     for piece in pieces:
         for at in range(0, len(piece), CHUNK_CHARS):
             if (got := fh.read(min(CHUNK_CHARS, len(piece) - at))) != piece[at : at + CHUNK_CHARS]:
                 read = io.StringIO(piece[:at] + got + fh.readline(CHUNK_CHARS))  # `fh` from the piece on
-                pairs = enumerate(itertools.zip_longest(read, io.StringIO(piece), fillvalue=""), line)
+                first = _line_after(fh, matched)  # the number of the piece's first line
+                pairs = enumerate(itertools.zip_longest(read, io.StringIO(piece), fillvalue=""), first)
                 line, (held, wanted) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
                 found = f"line {line} holds {held!r}" if held else f"ends at line {line}"
                 raise ValueError(f"cache file {fh.name} {found}, where table writes {wanted!r}")
-        line += piece.count("\n")
+        matched += len(piece)
         yield piece
     if extra := fh.readline(CHUNK_CHARS):
+        line = _line_after(fh, matched)
         raise ValueError(f"cache file {fh.name} line {line} holds {extra!r}, where table ends")
 
 

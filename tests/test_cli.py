@@ -114,12 +114,13 @@ def test_table_cache_miss_that_fails_midway_leaves_no_cache_file(tmp_path, monke
 def test_table_peak_memory(cached, tmp_path):
     """`table` holds about one 2^20-value segment and its text at a time.
 
-    Rendering a moebius segment peaks at 11 MiB: `np.take` widens its 2^20
-    byte indices to 8-byte intp beside the 3 MiB of fixed-width lines it
-    fills.  At 2^23 the whole command peaks at 1.55, 1.80 and 1.88 B per
-    value (no cache, miss, hit), and less beyond.  Rendering one Python str
-    per value peaked at 2.18, 2.43 and 2.51; a text of the whole table would
-    take near 20 B per value.
+    Rendering a moebius segment peaks at 4.7 MiB: the texts of its 2^14-value
+    slices and their join.  One `np.take` of all 2^20 byte indices, which it
+    first widens to 8-byte intp, peaked at 11 MiB.  At 2^23 the whole command
+    peaks at 0.78, 1.01 and 1.21 B per value (no cache, miss, hit), and less
+    beyond; one take read 1.55, 1.80 and 1.88.  Rendering one Python str per
+    value peaked at 2.18, 2.43 and 2.51; a text of the whole table would take
+    near 20 B per value.
     """
     n = 2**23
     argv = ["table", "--kind", "moebius", "--lo", "1", "--hi", str(n)]
@@ -133,7 +134,7 @@ def test_table_peak_memory(cached, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.1 * n, f"{peak / n:.2f} bytes per value"
+    assert peak < 1.4 * n, f"{peak / n:.2f} bytes per value"
 
 
 def test_sum_command(tmp_path):

@@ -1,0 +1,84 @@
+"""Each subcommand imports only the modules it runs, and the package exports load on access."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sievestats as ss
+from sievestats.cli import run
+
+SRC = Path(ss.__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+#: `python -m sievestats ARGS` that also prints, at exit, the sievestats submodules it loaded.
+RUN_AND_LIST = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('sievestats.')),"
+    " file=sys.stderr))\n"
+    "runpy.run_module('sievestats', run_name='__main__')\n"
+)
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run in a new interpreter with this checkout's sievestats first on the path."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=ENV)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["table", "--kind", "moebius", "--lo", "1", "--hi", "30"], {"cli", "kinds", "sieves"}),
+        (["sum", "--kind", "moebius", "--n-max", "1000", "--checkpoints", "10,100,1000"],
+         {"cli", "kinds", "sieves", "sums", "identities"}),
+        (["riemann-check", "--n-max", "1000"], {"cli", "kinds", "sieves", "deviation"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_subcommand_loads_only_the_modules_it_runs(argv, modules, capsys):
+    child = _fresh(RUN_AND_LIST, *argv)
+    assert child.returncode == 0, child.stderr
+    assert set(child.stderr.splitlines()[-1].split()) == {f"sievestats.{m}" for m in modules}
+    assert run(argv) == 0
+    assert child.stdout == capsys.readouterr().out
+
+
+def test_plain_import_loads_no_submodule():
+    child = _fresh("import sys, sievestats\nprint(*sorted(m for m in sys.modules if 'sievestats' in m))")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "sievestats\n"
+
+
+def test_exports_resolve_on_first_access():
+    """In a new interpreter every name of `__all__` resolves, `dir` lists it, and
+    submodules still import by name from the package."""
+    child = _fresh(
+        "import json, sievestats as ss\n"
+        "resolved = [name for name in ss.__all__ if getattr(ss, name) is not None]\n"
+        "from sievestats import cli, identities, mixing\n"
+        "print(json.dumps({'all': ss.__all__, 'resolved': resolved, 'dir': dir(ss),\n"
+        "                  'modules': [cli.__name__, identities.__name__, mixing.__name__, ss.sieves.__name__]}))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    found = json.loads(child.stdout)
+    assert len(found["all"]) == 59
+    assert found["resolved"] == found["all"]
+    assert set(found["all"]) <= set(found["dir"])
+    assert found["modules"] == ["sievestats.cli", "sievestats.identities", "sievestats.mixing", "sievestats.sieves"]
+
+
+def test_export_is_the_defining_modules_object():
+    from sievestats import mixing, sieves, sums
+
+    assert ss.accumulate is sums.accumulate
+    assert ss.ValueTable is sieves.ValueTable
+    assert ss.alpha_hat is mixing.alpha_hat
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'sievestats' has no attribute 'no_such_name'"):
+        ss.no_such_name
+    assert not hasattr(ss, "iter_segments")  # a submodule's name, not exported

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievestats as ss
-from sievestats import cli, mixing, sums
+from sievestats import cli, mixing, sieves, sums
 from sievestats.mixing import (
     DEFAULT_REPORT_LAGS, REPORT_WINDOWS, _lag_counts, _range_counts, _value_bits, _window_lag,
 )
@@ -337,7 +337,7 @@ def test_dependence_report_packs_each_array_once_and_counts_each_lag_once(monkey
         counted.append((lag, start, stop))
         return _lag_counts(bits, lag, start, stop, counts)
 
-    for module in (cli, sums):
+    for module in (sieves, sums):
         monkeypatch.setattr(module, "iter_segments", stream)
     monkeypatch.setattr(mixing, "_value_bits", value_bits)
     monkeypatch.setattr(mixing, "_lag_counts", lag_counts)

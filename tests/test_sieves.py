@@ -290,6 +290,23 @@ def test_table_pieces_refuse_values_outside_the_alphabet(kind, value):
         list(sieves.table_pieces(kind, 1, len(values), [(1, len(values), values)]))
 
 
+SLICES = 2 * sieves.TAKE_VALUES + 5  # values in three render slices, the last a short one
+
+
+@pytest.mark.parametrize("at", [None, sieves.TAKE_VALUES, SLICES - 1], ids=["none", "second", "last"])
+def test_table_pieces_render_and_check_every_slice(at):
+    """A segment renders TAKE_VALUES values at a time: the text runs on across slices, and a
+    value outside the alphabet is refused in whichever slice holds it."""
+    values = np.random.default_rng(at).choice(np.array([-1, 0, 1], dtype=np.int8), SLICES)
+    parts = [(1, SLICES, values)]
+    if at is None:
+        assert list(sieves.table_pieces(ss.MOEBIUS, 1, SLICES, parts)) == _reference_pieces(ss.MOEBIUS, 1, SLICES, parts)
+        return
+    values[at] = 5
+    with pytest.raises(ValueError, match="moebius takes no value 5;"):
+        list(sieves.table_pieces(ss.MOEBIUS, 1, SLICES, parts))
+
+
 @pytest.mark.parametrize(
     "values, refused",
     [
@@ -364,6 +381,20 @@ def test_checked_pieces_names_the_line_that_differs(line, tmp_path):
     with open(path, newline="") as fh, pytest.raises(ValueError) as refusal:
         list(sieves.checked_pieces(fh, pieces))
     assert str(refusal.value) == f"cache file {path} line {line + 1} holds 'aX\\n', where table writes 'ab\\n'"
+
+
+def test_checked_pieces_names_a_line_past_the_first_read_of_the_third_piece(tmp_path):
+    """Lines are counted only at a refusal, by reading the matched pieces again: a difference
+    past the first CHUNK_CHARS characters of the third piece is named by its line in the file."""
+    second, third = ["ab\n"] * 7, ["cde\n"] * (sieves.CHUNK_CHARS // 4 + 10)
+    pieces = ["header\n", "".join(second), "".join(third)]
+    line = sieves.CHUNK_CHARS // 4 + 5  # of the third piece, in its second read
+    third[line - 1] = "cXe\n"
+    path = tmp_path / "cache.csv"
+    path.write_text("header\n" + "".join(second) + "".join(third))
+    with open(path, newline="") as fh, pytest.raises(ValueError) as refusal:
+        list(sieves.checked_pieces(fh, pieces))
+    assert str(refusal.value) == f"cache file {path} line {1 + 7 + line} holds 'cXe\\n', where table writes 'cde\\n'"
 
 
 def _failing_rename(src, dst):
