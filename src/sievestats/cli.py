@@ -14,11 +14,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses  # loaded with kinds
+import os
 import sys
 
-import numpy as np
+# OpenBLAS reads this once, when numpy loads it; every entry point imports this module
+# before numpy.  No hot path calls BLAS, but a pool of nproc - 1 threads would start and
+# busy-wait in every process (about 0.1 s of CPU per process on 2 vCPUs), and the threads
+# would split the dot products of von Mangoldt autocovariances, whose last digits would
+# then depend on the host's core count.  Set, not defaulted: a user's value would bring
+# those host-dependent bytes back.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .kinds import FunctionKind, parse_kind
+import numpy as np  # noqa: E402
+
+from .kinds import FunctionKind, check_cdf_range, parse_kind, validate_checkpoints
 
 
 def _fmt(value) -> str:
@@ -89,8 +98,6 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
 
 def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
     """Geometrically spaced checkpoints in [1, n_max]; an n_max below 1 is refused by name."""
-    from .sums import validate_checkpoints
-
     grid = np.unique(np.geomspace(1, max(n_max, 1), points).astype(np.int64))
     return validate_checkpoints(grid, n_max)
 
@@ -139,7 +146,7 @@ def _cmd_stats(args) -> int:
     from . import empirical, sieves
 
     kind = parse_kind(args.kind)
-    empirical.check_cdf_range(kind, args.n)
+    check_cdf_range(kind, args.n)
     counts = empirical.value_counts(kind, sieves.iter_segments(kind, 1, args.n, workers=args.workers))
     mom = empirical.moments_from_counts(kind, args.n, *counts)
     cdf = empirical.cdf_from_counts(args.n, *counts)
@@ -148,8 +155,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dependence(args) -> int:
-    from . import empirical, mixing, sieves
-    from .sums import validate_checkpoints
+    from . import mixing, sieves
 
     kind = parse_kind(args.kind)
     lags = mixing.validate_lags(_parse_int_list(args.lags), args.n, minimum=1)
@@ -161,7 +167,7 @@ def _cmd_dependence(args) -> int:
         )
     elif args.checkpoints is not None:
         raise ValueError("--checkpoints is only read with --report")
-    empirical.check_cdf_range(kind, args.n)
+    check_cdf_range(kind, args.n)
     segments = sieves.iter_segments(kind, 1, args.n, workers=args.workers)
     pairs = mixing.PairCounts(args.n, segments, kind.alphabet())  # for the CSV rows and the report
     alpha = [pairs.alpha(h) if kind.alphabet() else float("nan") for h in lags]

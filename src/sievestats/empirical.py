@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinds import FunctionKind
+from .kinds import FunctionKind, check_cdf_range
 from .sieves import ValueTable
 
 #: Histograms are kept only for alphabets up to this many distinct values.
 HISTOGRAM_LIMIT = 64
-
-#: Exact distribution tables for von Mangoldt stop being practical above this.
-VON_MANGOLDT_CDF_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -103,16 +100,6 @@ class EmpiricalCdf:
         """F(y) for an arbitrary threshold y."""
         idx = bisect.bisect_left(self.support, y)
         return self.cdf_below[idx]
-
-
-def check_cdf_range(kind: FunctionKind, n: int) -> None:
-    """Refuse n below 1, and n above VON_MANGOLDT_CDF_LIMIT for the real-valued kind."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
-        raise ValueError(
-            f"exact distribution tables for von_mangoldt are unsupported beyond n={VON_MANGOLDT_CDF_LIMIT}"
-        )
 
 
 def cdf_from_counts(n: int, uniq, counts) -> EmpiricalCdf:

@@ -1,4 +1,5 @@
-"""Designators for the arithmetic functions the sieves can materialize."""
+"""Designators for the arithmetic functions the sieves can materialize, and the
+input checks that need no sieve (every subcommand loads this module)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,9 @@ ALPHABETS = {
     "squarefree_parity_weight": (-1, 0, 2),
     "von_mangoldt": None,
 }
+
+#: Exact distribution tables for von Mangoldt stop being practical above this.
+VON_MANGOLDT_CDF_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,3 +93,27 @@ def parse_kind(text: str) -> FunctionKind:
             raise ValueError(f"bad kind parameter in {text!r}") from None
         return FunctionKind(tag, k)
     return FunctionKind(text)
+
+
+def check_cdf_range(kind: FunctionKind, n: int) -> None:
+    """Refuse n below 1, and n above VON_MANGOLDT_CDF_LIMIT for the real-valued kind."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind.alphabet() is None and n > VON_MANGOLDT_CDF_LIMIT:
+        raise ValueError(
+            f"exact distribution tables for von_mangoldt are unsupported beyond n={VON_MANGOLDT_CDF_LIMIT}"
+        )
+
+
+def validate_checkpoints(checkpoints, n_max: int) -> list[int]:
+    """Checkpoints as ints; refuses an empty, unsorted or out-of-[1, n_max] list."""
+    cps = [int(c) for c in checkpoints]
+    if not cps:
+        raise ValueError("at least one checkpoint is required")
+    if cps[0] < 1:
+        raise ValueError("checkpoints must be >= 1")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if cps[-1] > n_max:
+        raise ValueError(f"checkpoint {cps[-1]} exceeds n_max={n_max}")
+    return cps

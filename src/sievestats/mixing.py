@@ -14,9 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .kinds import VON_MANGOLDT, FunctionKind
+from .kinds import VON_MANGOLDT, FunctionKind, validate_checkpoints
 from .sieves import ValueTable, segment_bounds, table_from_segments
-from .sums import checkpoint_sums, validate_checkpoints
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
 
@@ -315,6 +314,8 @@ def stationarity_report(
 
 def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> StationarityReport:
     """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
+    from .sums import checkpoint_sums
+
     n = pairs.n
     if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
         sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))

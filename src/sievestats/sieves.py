@@ -188,7 +188,9 @@ def _prime_flags_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
         flags[: len(small)] = np.isin(small, WHEEL_PRIMES)
     live = slice(len(WHEEL_PRIMES), base.squares.searchsorted(hi, "right"))
     primes, squares = base.primes[live], base.squares[live]
-    _sieve_steps(flags, np.maximum(squares - lo, (-lo) % primes), primes)
+    # The pattern already clears the even n, so each prime strikes its odd multiples, all
+    # p mod 2p, from p^2 (itself odd) or lo on.
+    _sieve_steps(flags, np.maximum(squares - lo, (primes - lo) % (2 * primes)), 2 * primes)
     return flags
 
 

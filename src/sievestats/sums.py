@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import identity_sums, prefers_identities
-from .kinds import MOEBIUS, FunctionKind
+from .kinds import MOEBIUS, FunctionKind, validate_checkpoints
 from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, validate_range
 
 
@@ -29,20 +29,6 @@ class SummationSeries:
 
     def as_map(self) -> dict:
         return dict(zip(self.checkpoints, self.sums))
-
-
-def validate_checkpoints(checkpoints, n_max: int) -> list[int]:
-    """Checkpoints as ints; refuses an empty, unsorted or out-of-[1, n_max] list."""
-    cps = [int(c) for c in checkpoints]
-    if not cps:
-        raise ValueError("at least one checkpoint is required")
-    if cps[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if cps[-1] > n_max:
-        raise ValueError(f"checkpoint {cps[-1]} exceeds n_max={n_max}")
-    return cps
 
 
 def accumulate(

@@ -1,4 +1,5 @@
-"""Each subcommand imports only the modules it runs, and the package exports load on access."""
+"""Each subcommand imports only the modules it runs, the CLI runs BLAS on one thread, and the
+package exports load on access."""
 
 import json
 import os
@@ -22,10 +23,18 @@ RUN_AND_LIST = (
     "runpy.run_module('sievestats', run_name='__main__')\n"
 )
 
+#: `python -m sievestats ARGS` that also prints, at exit, how many OS threads the process has.
+RUN_AND_COUNT_THREADS = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+    "runpy.run_module('sievestats', run_name='__main__')\n"
+)
 
-def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`code` run in a new interpreter with this checkout's sievestats first on the path."""
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=ENV)
+
+def _fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """`code` run in a new interpreter with this checkout's sievestats first on the path,
+    and `env` added to its environment."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env={**ENV, **env})
 
 
 @pytest.mark.parametrize(
@@ -35,6 +44,8 @@ def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
         (["sum", "--kind", "moebius", "--n-max", "1000", "--checkpoints", "10,100,1000"],
          {"cli", "kinds", "sieves", "sums", "identities"}),
         (["riemann-check", "--n-max", "1000"], {"cli", "kinds", "sieves", "deviation"}),
+        (["ergodic", "--atoms", "0:2,1.0471975511965976:1", "--n", "1000"], {"cli", "kinds", "spectral"}),
+        (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1..3"], {"cli", "kinds", "sieves", "mixing"}),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
@@ -44,6 +55,24 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, modules, capsys):
     assert set(child.stderr.splitlines()[-1].split()) == {f"sievestats.{m}" for m in modules}
     assert run(argv) == 0
     assert child.stdout == capsys.readouterr().out
+
+
+def test_von_mangoldt_dependence_bytes_do_not_depend_on_blas_threads():
+    # Its autocovariances are dot products, which OpenBLAS splits across threads above 10^4 values.
+    argv = ["dependence", "--kind", "von_mangoldt", "--n", "100000", "--lags", "1..5", "--output", "-"]
+    one, two = (_fresh(RUN_AND_LIST, *argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout.count("\n") == 6
+    assert one.stdout == two.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads")
+def test_cli_process_runs_one_thread():
+    # A user's OPENBLAS_NUM_THREADS is overridden too: no BLAS pool starts beside the main thread.
+    argv = ["riemann-check", "--n-max", "1000", "--workers", "1"]
+    child = _fresh(RUN_AND_COUNT_THREADS, *argv, OPENBLAS_NUM_THREADS="2")
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.splitlines()[-1] == "1"
 
 
 def test_plain_import_loads_no_submodule():

@@ -479,12 +479,19 @@ def test_signature_cofactor_just_above_the_base_primes(kind):
     _assert_matches_oracle(kind, n - 6, 10**9, points=points)
 
 
-@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
-@pytest.mark.parametrize("p", [2, 3, 997, 31607])
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS + [ss.PRIME, ss.TWIN_PRIME, ss.VON_MANGOLDT], ids=str)
+@pytest.mark.parametrize("p", [2, 3, 17, 19, 23, 997, 31607])
 def test_signature_prime_square_at_segment_edges(kind, p):
+    # The prime flags of the last three kinds strike each p >= 17 from p^2 or from the first
+    # odd multiple at or above lo: windows start at odd and even lo below, at and above p^2,
+    # and reach past p(p + 1) to p(p + 2).
     square = p * p
     for segment_size in (1, 2, 3, 4, 5):
         _assert_matches_oracle(kind, max(1, square - 4), square + 4, segment_size=segment_size)
+    hi = square + 2 * p + 1
+    for lo in range(max(1, square - 4), square + 3):
+        near = {*range(square - 4, square + 5), *range(square + p - 1, square + p + 2), *range(hi - 2, hi + 1)}
+        _assert_matches_oracle(kind, lo, hi, points=sorted(n for n in near if n >= lo))
 
 
 @pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)

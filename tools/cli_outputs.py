@@ -32,7 +32,9 @@ exit status and error line, so running this on two checkouts and comparing
     diff -r /tmp/before /tmp/after
 
 checks that a change leaves every output byte-identical.  Commands run in
-this process against the checkout's own `src/`.
+this process against the checkout's own `src/`.  It imports `sievestats.cli`
+before numpy, so its runs, like the CLI's, use one OpenBLAS thread and give
+the same bytes whatever the host's core count.
 """
 
 import contextlib
