@@ -96,10 +96,11 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(atoms)
 
 
-def _geometric_grid(n_max: int, points: int = 50) -> list[int]:
-    """Geometrically spaced checkpoints in [1, n_max]; an n_max below 1 is refused by name."""
-    grid = np.unique(np.geomspace(1, max(n_max, 1), points).astype(np.int64))
-    return validate_checkpoints(grid, n_max)
+def _geometric_grid(n_max: int, option: str, points: int = 50) -> list[int]:
+    """Geometrically spaced checkpoints in [1, n_max]; an n_max below 1 is refused by `option`'s name."""
+    if n_max < 1:
+        raise ValueError(f"{option} must be >= 1, got {n_max}")
+    return validate_checkpoints(np.unique(np.geomspace(1, n_max, points).astype(np.int64)), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def _cmd_dependence(args) -> int:
         checkpoints = (
             validate_checkpoints(_parse_int_list(args.checkpoints), args.n)
             if args.checkpoints
-            else _geometric_grid(args.n)
+            else _geometric_grid(args.n, "--n")
         )
     elif args.checkpoints is not None:
         raise ValueError("--checkpoints is only read with --report")
@@ -198,7 +199,7 @@ def _cmd_ergodic(args) -> int:
     from . import spectral
 
     spec = spectral.SpectralSpec(_parse_atoms(args.atoms))
-    grid = _geometric_grid(args.n)
+    grid = _geometric_grid(args.n, "--n")
     rows = [(n, spectral.covariance_average(spec, n)) for n in grid]
     outputs = [(_csv_text("n,covariance_average", rows), args.output)]  # all computed before any write
     if args.mse_output is not None:
@@ -235,7 +236,7 @@ def _cmd_deviation(args) -> int:
     else:
         check, ratio, spec = dev.exponent_check, dev.exponent_ratio, dev.check_xi(args.xi)
     checkpoints = (
-        _parse_int_list(args.checkpoints) if args.checkpoints else _geometric_grid(args.n_max)
+        _parse_int_list(args.checkpoints) if args.checkpoints else _geometric_grid(args.n_max, "--n-max")
     )
     series = accumulate(kind, args.n_max, checkpoints, workers=args.workers)
     report = check(series, args.trend_c, spec)

@@ -29,14 +29,16 @@ class EmpiricalMoments:
     histogram: dict | None
 
 
-def _value_counts(vals: np.ndarray, alphabet) -> tuple[np.ndarray, np.ndarray]:
+def _value_counts(vals, alphabet) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values in ascending order and their counts, as `np.unique` gives them.
 
     A finite alphabet is counted value by value instead of sorting; values
     outside it are refused.
     """
-    if alphabet is None:
-        return np.unique(vals, return_counts=True)
+    if alphabet is None:  # a `SparseSegment`: its zeros, if any, then its weights
+        uniq, counts = np.unique(vals.weights, return_counts=True)
+        zeros = len(vals) - len(vals.offsets)
+        return (np.append(0.0, uniq), np.append(zeros, counts)) if zeros else (uniq, counts)
     support = np.array(sorted(alphabet), dtype=vals.dtype)
     counts = np.array([np.count_nonzero(vals == a) for a in support], dtype=np.int64)
     if int(counts.sum()) != len(vals):

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .kinds import VON_MANGOLDT, FunctionKind, validate_checkpoints
-from .sieves import ValueTable, segment_bounds, table_from_segments
+from .sieves import ValueTable, table_from_segments
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
 
@@ -153,7 +153,7 @@ class PairCounts:
     each range's value counts the same way.  J_lag on [0, n) for a lag the
     report windows count is their sum, plus the pairs that straddle a window
     end or lie past the last window, so [0, n) is covered once per lag.  Von
-    Mangoldt's floats are filled into one array by `table_from_segments`.
+    Mangoldt's segments are scattered into one float64 array by `table_from_segments`.
     """
 
     def __init__(self, n: int, segments, alphabet):
@@ -317,8 +317,8 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     from .sums import checkpoint_sums
 
     n = pairs.n
-    if pairs.alphabet is None:  # sliced as `iter_segments` slices, so the Kahan carry matches `accumulate`
-        sums = checkpoint_sums(kind, cps, ((a, b, pairs.values[a - 1 : b]) for a, b in segment_bounds(1, n)))
+    if pairs.alphabet is None:  # the sparse segments `accumulate` reads, so the Kahan carry matches
+        sums = checkpoint_sums(kind, cps, ValueTable(kind, 1, n, pairs.values).segments(n))
     else:  # S(c): each value's counts on [0, c1), [c1, c2), ..., summed up to c, dotted with the alphabet
         counts = [pairs.range_counts(a, b) for a, b in zip([0, *cps], cps)]
         sums = (np.cumsum(counts, axis=0) @ pairs.a).tolist()

@@ -79,8 +79,11 @@ def block_count(n: int, block_size: int) -> int:
 def block_sums(kind: FunctionKind, n: int, block_size: int, segments) -> np.ndarray:
     """T_1, ..., T_{n//B} of f(1..n) as float64, from ascending (lo, hi, values) segments.
 
-    Each segment is reduced at its block starts; a block that straddles two
-    segments carries its partial sum into the next.  Values past n//B blocks go unread.
+    Each segment is reduced at its block starts; a block that straddles two segments carries its
+    partial sum into the next.  Values past n//B blocks go unread.  Von Mangoldt's `SparseSegment`
+    weights are added into blocks by `np.bincount`, split into heads on the 2^-22 grid, whose sums
+    below 2^30 > psi(10^9) are exact, and the small rest: each block's part of a segment is rounded
+    once, as `math.fsum` rounds.
     """
     count = block_count(n, block_size)
     end = count * block_size
@@ -88,11 +91,17 @@ def block_sums(kind: FunctionKind, n: int, block_size: int, segments) -> np.ndar
     for lo, hi, vals in segments:
         if lo > end:
             break
-        vals = vals[: end - lo + 1]
-        first = -(lo - 1) % block_size  # offset of the first block start in the segment
-        starts = np.arange(first or block_size, len(vals), block_size)
-        parts = np.add.reduceat(vals, np.concatenate(([0], starts)), dtype=sums.dtype)
         block = (lo - 1) // block_size
+        if kind.is_integer_valued:
+            vals = vals[: end - lo + 1]
+            first = -(lo - 1) % block_size  # offset of the first block start in the segment
+            starts = np.arange(first or block_size, len(vals), block_size)
+            parts = np.add.reduceat(vals, np.concatenate(([0], starts)), dtype=sums.dtype)
+        else:
+            kept = vals.offsets.searchsorted(end - lo + 1)
+            at, weights = (vals.offsets[:kept] + lo - 1) // block_size - block, vals.weights[:kept]
+            head = np.rint(weights * 2.0**22) / 2.0**22  # multiples of 2^-22 below 2^30 add exactly
+            parts = np.bincount(at, head) + np.bincount(at, weights - head)
         sums[block : block + len(parts)] += parts
     return sums.astype(np.float64)
 

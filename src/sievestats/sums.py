@@ -59,27 +59,32 @@ def accumulate(
 def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
     """S(c) at each checkpoint c from an ascending stream of (lo, hi, values) segments.
 
-    One Kahan-compensated carry runs across segments: an exact Python int
-    for integer kinds (int64 inside a segment never overflows: |f| <= 2 and
-    segments hold < 2^21 values), so its compensation stays 0, and a float
-    for von Mangoldt, whose segments are summed pairwise.
+    One Kahan-compensated carry runs across segments: an exact Python int for integer kinds
+    (int64 inside a segment never overflows: |f| <= 2 and segments hold < 2^21 values), so its
+    compensation stays 0, and a float for von Mangoldt, whose `SparseSegment` weights are summed
+    pairwise, or in order where the segment holds a checkpoint: the zero-filled segment's nonzero
+    terms in its order, so S(c) takes those at offsets up to c - lo.
     """
-    dtype, scalar = (np.int64, int) if kind.is_integer_valued else (np.float64, float)
+    dense = kind.is_integer_valued
+    dtype, scalar = (np.int64, int) if dense else (np.float64, float)
     sums: list = []
     idx = 0
     total = comp = scalar(0)
-    buf = np.empty(0, dtype=dtype)  # reused by every segment: one prefix array is ever alive
+    buf = np.zeros(1, dtype=dtype)  # reused by every segment: one prefix array is ever alive
     for lo, hi, vals in segments:
+        terms = vals if dense else vals.weights
         if idx < len(cps) and cps[idx] <= hi:
-            if len(buf) < len(vals):
-                buf = np.empty(len(vals), dtype=dtype)
-            prefix = np.cumsum(vals, dtype=dtype, out=buf[: len(vals)])
+            if len(buf) <= len(terms):
+                buf = np.zeros(len(terms) + 1, dtype=dtype)
+            prefix = buf[: len(terms) + 1]  # prefix[k]: the sum of the first k terms
+            np.cumsum(terms, dtype=dtype, out=prefix[1:])
             while idx < len(cps) and cps[idx] <= hi:
-                sums.append(total + scalar(prefix[cps[idx] - lo]))
+                k = cps[idx] - lo + 1 if dense else vals.offsets.searchsorted(cps[idx] - lo, "right")
+                sums.append(total + scalar(prefix[k]))
                 idx += 1
             seg_total = scalar(prefix[-1])
         else:
-            seg_total = scalar(vals.sum(dtype=dtype))
+            seg_total = scalar(terms.sum(dtype=dtype))
         y = seg_total - comp
         t = total + y
         comp = (t - total) - y

@@ -177,7 +177,9 @@ def test_sum_command(tmp_path):
           "--block-size", "0"],
          "block size must be >= 100"),
         (["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"],
-         "checkpoint 1 exceeds n_max=0"),
+         "--n-max must be >= 1, got 0"),
+        (["deviation", "--kind", "prime_indicator", "--n-max", "-5"], "--n-max must be >= 1, got -5"),
+        (["ergodic", "--atoms", "0:1", "--n", "0"], "--n must be >= 1, got 0"),
         (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1", "--checkpoints", "5,3"],
          "--checkpoints is only read with --report"),
         (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
@@ -211,7 +213,8 @@ def test_sum_command(tmp_path):
          "dependence-max-lag", "normality-count", "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
          "sum-checkpoint-above-n-max", "sum-checkpoint-zero", "stats-n-zero", "dependence-lag-zero",
          "normality-block-size-zero", "variance-growth-block-size-zero",
-         "deviation-n-max-zero", "dependence-checkpoints-without-report",
+         "deviation-n-max-zero", "deviation-n-max-negative", "ergodic-n-zero",
+         "dependence-checkpoints-without-report",
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
          "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative",
          "riemann-check-xi-nan", "deviation-xi-inf", "table-hi",

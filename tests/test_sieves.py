@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievestats as ss
-from sievestats import sieves
+from sievestats import empirical, sieves
 from sievestats.kinds import parse_kind
 from sievestats.sieves import (
     DEFAULT_MAX_HI,
@@ -239,9 +239,18 @@ def _reference_line(kind, v):
     return f"{v:.17g}\n" if v else "0\n"
 
 
+def _dense(values):
+    """A segment's values as one array: a von Mangoldt `SparseSegment`'s weights scattered into zeros."""
+    if isinstance(values, np.ndarray):
+        return values
+    dense = np.zeros(len(values))
+    dense[values.offsets] = values.weights
+    return dense
+
+
 def _reference_pieces(kind, lo, hi, segments):
     """`table_pieces` as the format defines it, one value at a time."""
-    pieces = ("".join(_reference_line(kind, v) for v in values.tolist()) for _, _, values in segments)
+    pieces = ("".join(_reference_line(kind, v) for v in _dense(values).tolist()) for _, _, values in segments)
     return [f"{kind},{lo},{hi}\n", *pieces]
 
 
@@ -270,6 +279,8 @@ def test_table_pieces_render_each_value_at_segment_ends(kind, value):
     between = kind.alphabet() or LOGS
     values = np.array([value, *between, *between[::-1], value], dtype=np.int8 if kind.alphabet() else float)
     n = len(values)
+    if not kind.alphabet():
+        values = sieves.SparseSegment.of(values)
     parts = [(1, n, values), (n + 1, 2 * n, values)]
     assert list(sieves.table_pieces(kind, 1, 2 * n, parts)) == _reference_pieces(kind, 1, 2 * n, parts)
 
@@ -583,3 +594,69 @@ def test_windows_from_the_wheel_primes_match_oracle(kind):
             starts = [*range(lo, hi + 1, segment_size), *range(0, hi + 1, sieves.WHEEL)]
             points = sorted({n for s in starts for n in range(s - 20, s + 20) if lo <= n <= hi})
             _assert_matches_oracle(kind, lo, hi, points=[*range(lo, 300), *points], segment_size=segment_size)
+
+
+#: Prime powers that start or end drawn windows; 2^20 and 2^21 end the first two default segments.
+PRIME_POWERS = (2, 3, 4, 8, 9, 25, 121, 3**13, 7**7, 1021**2, 2**20, 2**21)
+
+
+@st.composite
+def von_mangoldt_windows(draw):
+    """(lo, hi, segment_size): from lo = 1, with segments that end at 2^20 or 2^21, or with a
+    prime power at the window's first or last offset."""
+    size = draw(st.integers(1, 700), label="segment_size")
+    length = draw(st.integers(1, 1500), label="length")
+    way = draw(st.sampled_from(["one", "edge", "first", "last"]), label="way")
+    if way == "one":
+        return 1, length, size
+    if way == "edge":  # the edge ends the first, second or third segment, and more may follow
+        edge = draw(st.sampled_from([2**20, 2**21]), label="edge")
+        lo = edge - size * draw(st.integers(1, 3), label="segments to the edge") + 1
+        return lo, edge + draw(st.integers(0, 2 * size), label="past the edge"), size
+    q = draw(st.sampled_from(PRIME_POWERS), label="prime power")
+    return (q, q + length - 1, size) if way == "first" else (max(1, q - length + 1), q, size)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(window=von_mangoldt_windows())
+def test_von_mangoldt_sparse_segments_match_dense_reference(window):
+    """Each segment's offsets strictly ascend inside it, its weights are the oracle's logs there,
+    and the oracle is 0 at every other value; value counts and `table` lines equal those of the
+    dense values byte for byte."""
+    lo, hi, size = window
+    kind = ss.VON_MANGOLDT
+    segments = list(sieves.iter_segments(kind, lo, hi, segment_size=size))
+    dense, where = np.zeros(hi - lo + 1), []
+    for a, b, segment in segments:
+        assert isinstance(segment, sieves.SparseSegment) and len(segment) == b - a + 1
+        assert segment.offsets.dtype == np.int64 and segment.weights.dtype == np.float64
+        assert np.all(np.diff(segment.offsets) > 0)
+        assert segment.offsets.size == 0 or 0 <= segment.offsets[0] <= segment.offsets[-1] <= b - a
+        dense[segment.offsets + (a - lo)] = segment.weights
+        where += (segment.offsets + a).tolist()
+    expected = [oracle_value(kind, n) for n in range(lo, hi + 1)]
+    assert where == [n for n, v in zip(range(lo, hi + 1), expected) if v]
+    assert dense.tolist() == pytest.approx(expected, abs=1e-12)
+    uniq, counts = empirical.value_counts(kind, segments)
+    want_uniq, want_counts = np.unique(dense, return_counts=True)
+    assert uniq.tobytes() == want_uniq.tobytes() and counts.tolist() == want_counts.tolist()
+    lines = "".join(f"{v:.17g}\n" if v else "0\n" for v in dense.tolist())
+    assert "".join(sieves.table_pieces(kind, lo, hi, segments)) == f"{kind},{lo},{hi}\n{lines}"
+    assert sieve_table(kind, lo, hi, segment_size=size).values.tobytes() == dense.tobytes()
+
+
+def test_von_mangoldt_segment_allocates_no_dense_floats():
+    """A 2^20-value segment near 10^9 holds about 50000 prime powers: its offsets and weights,
+    not an 8 MiB float64 array.  Measured peak 1.39 MiB under tracemalloc (the prime flags and
+    the offsets); 9.39 MiB when the segment was a float64 array."""
+    hi = 10**9
+    lo = hi - (1 << 20) + 1
+    base = sieves.sieve_base(hi + 2)
+    tracemalloc.start()
+    try:
+        segment = sieves._von_mangoldt_segment(lo, hi, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(segment) == 1 << 20 and len(segment.offsets) < 60000
+    assert peak < 4 << 20, f"{peak / 2**20:.2f} MiB"

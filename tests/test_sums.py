@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievestats as ss
-from sievestats.sieves import oracle_value
+from sievestats import normality, sums
+from sievestats.sieves import DEFAULT_SEGMENT_SIZE, iter_segments, oracle_value
 
 
 def oracle_prefix(kind, n):
@@ -116,3 +119,36 @@ def test_squarefree_sqrt_deviation_bounded_to_1e7():
     constant = float(ratios.max())
     print(f"observed sup |Q(n) - 6n/pi^2|/sqrt(n) on [1e2, 1e7]: {constant:.4f}")
     assert constant <= 2.0
+
+
+def _within_sequential_bound(got, weights):
+    """|got - fsum(weights)| <= m * 2^-53 * sum(weights): the rounding bound of m sequential
+    float adds of m positive weights (an empty sum must be exactly 0)."""
+    exact = math.fsum(weights)
+    return abs(got - exact) <= len(weights) * 2.0**-53 * exact
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_von_mangoldt_sums_and_block_sums_within_sequential_bound(data):
+    """S(c) and the block sums T_j from von Mangoldt's sparse segments, against `math.fsum` of
+    the same weights, on small segments or on default ones across 2^20 and 2^21."""
+    default = data.draw(st.booleans(), label="default segments")
+    if default:
+        size, n = DEFAULT_SEGMENT_SIZE, data.draw(st.integers(2**21 - 3, 2**21 + 3), label="n")
+        edges = [2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21]
+    else:
+        size, n = data.draw(st.integers(1, 3000), label="size"), data.draw(st.integers(3000, 30000), label="n")
+        edges = [c for k in range(size, n, size) for c in (k - 1, k, k + 1)][:30]
+    extra = data.draw(st.lists(st.integers(1, n), max_size=8), label="checkpoints")
+    cps = sorted({c for c in [*edges, *extra, n] if 1 <= c <= n})
+    segments = list(iter_segments(ss.VON_MANGOLDT, 1, n, segment_size=size))
+    at = np.concatenate([segment.offsets + lo for lo, _, segment in segments])
+    weights = np.concatenate([segment.weights for _, _, segment in segments]).tolist()
+    for c, got in zip(cps, sums.checkpoint_sums(ss.VON_MANGOLDT, cps, iter(segments))):
+        assert _within_sequential_bound(got, weights[: int(at.searchsorted(c, "right"))]), c
+    block = data.draw(st.integers(1000 if default else 100, n // 30), label="block size")
+    blocks = normality.block_sums(ss.VON_MANGOLDT, n, block, iter(segments))
+    ends = at.searchsorted(np.arange(len(blocks) + 1) * block, "right")
+    for j, got in enumerate(blocks.tolist()):
+        assert _within_sequential_bound(got, weights[ends[j] : ends[j + 1]]), j

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 106 CLI commands and keep every output.
+"""Run a fixed matrix of 111 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -8,7 +8,9 @@ counting, exponent and variance-growth deviation modes (with trajectories
 where the mode has one); von Mangoldt `sum` and variance growth to 3*10^6,
 across 2^20-value segment boundaries; `stats` and `normality` (with the
 blocks CSV, 977-value blocks straddling segments) on moebius and von
-Mangoldt at 3*10^6; `dependence` with its report at 3*10^6, at lags that
+Mangoldt at 3*10^6; von Mangoldt `sum`, `stats` and `normality` (1024-value
+blocks) to 2^21 + 1, where the prime powers 2^20 and 2^21 are the last values
+of the first two segments; `dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
 end inside 64-bit words, and on moebius and the parity weight with report
@@ -22,7 +24,7 @@ b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius, von Mangoldt, the parity weight, Liouville, omega = 3 and the prime
 indicator; a table of the one value 2^20 and one of [1, 2^20 + 1], whose last
 segment holds one value; a moebius table cache miss followed by a hit, and
-the same over 3*10^6 von Mangoldt values; and 17 inputs that
+the same over 3*10^6 von Mangoldt values; and 19 inputs that
 must be refused (exit status 2, one error line, no output file).  Each
 command writes its outputs under OUTDIR, and `exit_codes.txt` records every
 exit status and error line, so running this on two checkouts and comparing
@@ -156,6 +158,15 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         cmds.append((name, ["dependence", "--kind", kind, "--n", "3000001", "--workers", "2",
                             "--report", str(out / f"{name}.report.json"),
                             "--checkpoints", EDGE_CHECKPOINTS]))
+    edges = "sum_von_mangoldt_segment_edges"  # 2^20 and 2^21, prime powers, end the first two segments
+    cmds += [
+        (edges, ["sum", "--kind", "von_mangoldt", "--n-max", "2097153",
+                 "--checkpoints", "1048575,1048576,1048577,2097152"]),
+        ("stats_von_mangoldt_segment_edges", ["stats", "--kind", "von_mangoldt", "--n", "2097153"]),
+        ("normality_von_mangoldt_segment_edges",
+         ["normality", "--kind", "von_mangoldt", "--n", "2097153", "--block-size", "1024",
+          "--blocks-csv", str(out / "normality_von_mangoldt_segment_edges.blocks.csv")]),
+    ]
     for kind in ("moebius", "von_mangoldt"):
         name = f"normality_{kind}_multi_segment"
         cmds += [
@@ -196,6 +207,8 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
           "--block-size", "0"]),
         ("refuse_deviation_n-max_zero",
          ["deviation", "--kind", "moebius", "--n-max", "0", "--mode", "exponent"]),
+        ("refuse_deviation_counting_n-max_zero", ["deviation", "--kind", "prime_indicator", "--n-max", "0"]),
+        ("refuse_ergodic_n_zero", ["ergodic", "--atoms", "0:1", "--n", "0"]),
         ("refuse_dependence_checkpoints_without_report",
          ["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1", "--checkpoints", "5,3"]),
         ("refuse_variance-growth_checkpoints",
