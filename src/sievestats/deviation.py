@@ -178,7 +178,8 @@ def mertens_riemann_check(
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
     unreliable here.  Streams over sieve segments, so memory stays bounded.
-    Each segment is read in chunks of CHUNK values, whose totals give
+    Each segment is read in chunks of CHUNK values, whose int16 totals (a sum over the
+    segment's (chunks, CHUNK) reshape, which casts no copy of the segment) give
     a = M(lo - 1) and b = M(hi) for every chunk [lo, hi] of s values.  M moves
     by at most 1 per step, so M(n) <= a + (n - lo + 1) and M(n) <= b + (hi - n)
     on the chunk, and the same below: M lies in [(a + b - s)/2, (a + b + s)/2].
@@ -202,8 +203,10 @@ def mertens_riemann_check(
     running, worst, argmax, skipped = 0, None, 0, 1  # n = 1 is skipped
     steps = np.arange(CHUNK)
     for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size, workers=workers):
-        offsets = np.arange(0, len(vals), CHUNK)
-        totals = np.add.reduceat(vals, offsets, dtype=np.int16)  # |total| <= CHUNK
+        offsets, full = np.arange(0, len(vals), CHUNK), len(vals) // CHUNK
+        totals = np.empty(len(offsets), dtype=np.int16)  # |total| <= CHUNK; summed in small buffers
+        vals[: full * CHUNK].reshape(full, CHUNK).sum(axis=1, dtype=np.int16, out=totals[:full])
+        totals[full:] = vals[full * CHUNK :].sum(dtype=np.int16)  # a short last chunk, if any
         ends = np.cumsum(totals, dtype=np.int64) + running  # M(chunk hi)
         base, running = ends - totals, int(ends[-1])  # M(chunk lo - 1)
         sizes = np.minimum(len(vals) - offsets, CHUNK)

@@ -4,7 +4,8 @@ Five kinds have a summation function that an identity gives without sieving
 [1, c] (V(c) is the set of floor quotients c // k, k >= 1):
 
 * pi(c), the prime count, by the Legendre / floor-quotient recursion over
-  V(c) (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985), in O(c^(3/4)).
+  V(c) (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985), in O(c^(3/4)):
+  one Python step per prime up to c^(1/3), and one vectorized batch above.
 * Q(c) = sum_{d <= sqrt c} mu(d) * (c // d^2), the squarefree count.
 * M(c) from sum_{k <= c} M(c // k) = 1 (Deleglise & Rivat, Exp. Math. 5,
   1996): mu and M are sieved once to u >= max(c)^(2/3), and M at the
@@ -26,7 +27,9 @@ import math
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, sieve_table
+from .sieves import DEFAULT_SEGMENT_SIZE, base_primes, sieve_table
+
+PAIRS = 1 << 14  # the most (p, k) pairs `prime_count` applies at once
 
 IDENTITY_TAGS = frozenset(
     {"prime_indicator", "squarefree_indicator", "moebius", "liouville", "squarefree_parity_weight"}
@@ -93,6 +96,12 @@ def prime_count(c: int) -> int:
     p; for each prime p <= sqrt(c), S(v) -= S(v // p) - S(p - 1) for every v
     in V(c) with v >= p^2.  `small[v]` holds S(v) for v <= r = isqrt(c) and
     `large[k]` holds S(c // k) for k <= r; v // p of v = c // k is c // (k p).
+    The primes p <= c^(1/3) take one step each.  Every prime above c^(1/3) is
+    applied at once, PAIRS (p, k) pairs at a time: each of its reads is final
+    by then.  `small` changes only for p^2 <= r, and such p are below c^(1/3).
+    `large[kp]` with kp >= p > c^(1/3) changes only for the primes
+    q <= sqrt(c / kp) < c^(1/3).  Every write lands at k <= c // p^2 < c^(1/3),
+    below every index the batch reads, so its order does not matter.
     """
     if c < 2:
         return 0
@@ -102,9 +111,10 @@ def prime_count(c: int) -> int:
     k = np.arange(1, r + 1, dtype=np.int64)
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = c // k - 1
-    for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
-            continue
+    primes = base_primes(r)
+    last = c // (primes * primes)  # the last k at which each prime p writes, c // p^2
+    cubed = int(np.count_nonzero(primes <= last))  # primes[:cubed] are the p with p^3 <= c
+    for p in primes[:cubed].tolist():
         below = int(small[p - 1])
         p2 = p * p
         kmax = min(r, c // p2)
@@ -115,6 +125,13 @@ def prime_count(c: int) -> int:
             large[inner + 1 : kmax + 1] -= small[c // (ks * p)] - below
         if p2 <= r:
             small[p2:] -= small[np.arange(p2, r + 1) // p] - below
+    cuts = np.cumsum(last[cubed:]).searchsorted(np.arange(PAIRS, last[cubed:].sum(), PAIRS))
+    for ps, counts in zip(np.split(primes[cubed:], cuts), np.split(last[cubed:], cuts)):
+        p = np.repeat(ps, counts)
+        at = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(counts) - counts, counts)  # k = 1..c // p^2
+        kp = at * p  # S(c // kp) is large[kp] up to r, small[c // kp] above
+        reads = np.where(kp <= r, large[np.minimum(kp, r)], small[np.minimum(c // kp, r)])
+        np.subtract.at(large, at, reads - small[p - 1])
     return int(large[1])
 
 

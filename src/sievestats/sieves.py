@@ -42,6 +42,7 @@ from .kinds import FunctionKind, parse_kind
 DEFAULT_SEGMENT_SIZE = 1 << 20  # cache-resident marking buffers
 CHUNK_CHARS = 1 << 20  # the most text a cache check or a cache hit's copy reads at once
 TAKE_VALUES = 1 << 14  # values rendered at once: `np.take` copies its indices to intp
+PIECE_VALUES = 1 << 16  # the most values of an int8 segment that a reduction casts at once
 DEFAULT_MAX_HI = 10**9  # the largest hi any sieve accepts; below SIGNATURE_MAX_HI
 LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
@@ -105,6 +106,14 @@ class ValueTable:
         """`prefix(n)` as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
         values, form = self.prefix(n), np.asarray if self.kind.alphabet() else SparseSegment.of
         return ((lo, hi, form(values[lo - 1 : hi])) for lo, hi in segment_bounds(1, n))
+
+
+def pieces(lo: int, values: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, view) of each PIECE_VALUES-value slice of the segment `values` that starts at lo,
+    uncopied: `ufunc.reduceat` with a wider `dtype`, and `np.cumsum` to one, cast their whole input."""
+    for at in range(0, len(values), PIECE_VALUES):
+        piece = values[at : at + PIECE_VALUES]
+        yield lo + at, lo + at + len(piece) - 1, piece
 
 
 def prime_flags_upto(limit: int) -> np.ndarray:
@@ -214,11 +223,11 @@ def _prime_flags_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
     return flags
 
 
-def _squarefree_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
-    free = np.ones(hi - lo + 1, dtype=np.int8)
+def _strike_squares(buf: np.ndarray, lo: int, hi: int, base: SieveBase) -> np.ndarray:
+    """`buf`, the values of [lo, hi], with 0 written at each n that a prime square divides."""
     squares = base.squares[: base.squares.searchsorted(hi, "right")]
-    _sieve_steps(free, (-lo) % squares, squares)
-    return free
+    _sieve_steps(buf, (-lo) % squares, squares)
+    return buf
 
 
 def _signature_sign(
@@ -282,22 +291,21 @@ def _von_mangoldt_segment(lo: int, hi: int, base: SieveBase) -> SparseSegment:
 def _segment_values(kind: FunctionKind, lo: int, hi: int, base: SieveBase) -> np.ndarray | SparseSegment:
     tag = kind.tag
     if tag == "prime_indicator":
-        return _prime_flags_segment(lo, hi, base).astype(np.int8)
+        return _prime_flags_segment(lo, hi, base).view(np.int8)
     if tag == "twin_prime_indicator":
         flags = _prime_flags_segment(lo, hi + 2, base)
-        return (flags[:-2] & flags[2:]).astype(np.int8)
+        return (flags[:-2] & flags[2:]).view(np.int8)
     if tag == "squarefree_indicator":
-        return _squarefree_segment(lo, hi, base)
+        return _strike_squares(np.ones(hi - lo + 1, dtype=np.int8), lo, hi, base)
     if tag in ("moebius", "squarefree_parity_weight"):
-        mu = _squarefree_segment(lo, hi, base)
-        mu *= _signature_sign(lo, hi, base, multiplicity=False)
+        mu = _strike_squares(_signature_sign(lo, hi, base, multiplicity=False), lo, hi, base)
         return mu if tag == "moebius" else np.add(mu, mu == 1, out=mu)
     if tag == "liouville":
         return _signature_sign(lo, hi, base, multiplicity=True)
     if tag == "omega_equals":
         omega = np.zeros(hi - lo + 1, dtype=np.int8)
         _signature_sign(lo, hi, base, multiplicity=True, omega=omega)
-        return (omega == kind.k).astype(np.int8)
+        return np.equal(omega, kind.k, out=omega.view(bool)).view(np.int8)
     if tag == "von_mangoldt":
         return _von_mangoldt_segment(lo, hi, base)
     raise ValueError(f"unsupported kind: {kind}")
@@ -478,19 +486,21 @@ def _refuse_outside(kind: FunctionKind, values: np.ndarray) -> None:
 
 def _integer_lines(kind: FunctionKind, rows: np.ndarray, values: np.ndarray) -> str:
     """The lines of an integer kind's `values`, TAKE_VALUES at a time: their `_line_rows` by byte,
-    taken into one reused buffer, then the padding deleted.  A value outside the alphabet takes a
-    row with no newline and is refused."""
+    taken into one reused buffer, then the padding deleted, if the alphabet's lines differ in
+    width.  A value outside the alphabet takes a row with no newline and is refused."""
     if values.dtype != np.int8:  # read by value, never by the bytes of a wider item
         _refuse_outside(kind, values)
         values = values.astype(np.int8)
     index = values.view(np.uint8)
+    padded = len({len(str(v)) for v in kind.alphabet()}) > 1
     buffer, texts = np.empty(min(len(index), TAKE_VALUES), dtype=rows.dtype), []
     for at in range(0, len(index), TAKE_VALUES):
         part = index[at : at + TAKE_VALUES]
         lines = np.take(rows, part, out=buffer[: len(part)])
         if not lines.view(np.uint8)[rows.itemsize - 1 :: rows.itemsize].all():  # each line's last byte
             _refuse_outside(kind, values)
-        texts.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
+        text = lines.tobytes()
+        texts.append((text.translate(None, b"\0") if padded else text).decode("ascii"))
     return "".join(texts)
 
 

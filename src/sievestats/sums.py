@@ -8,7 +8,7 @@ import numpy as np
 
 from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind, validate_checkpoints
-from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, validate_range
+from .sieves import DEFAULT_SEGMENT_SIZE, PIECE_VALUES, iter_segments, pieces, validate_range
 
 
 @dataclass(frozen=True)
@@ -59,36 +59,39 @@ def accumulate(
 def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
     """S(c) at each checkpoint c from an ascending stream of (lo, hi, values) segments.
 
-    One Kahan-compensated carry runs across segments: an exact Python int for integer kinds
-    (int64 inside a segment never overflows: |f| <= 2 and segments hold < 2^21 values), so its
-    compensation stays 0, and a float for von Mangoldt, whose `SparseSegment` weights are summed
-    pairwise, or in order where the segment holds a checkpoint: the zero-filled segment's nonzero
-    terms in its order, so S(c) takes those at offsets up to c - lo.
+    One Kahan-compensated carry runs across the parts of the stream: for integer kinds an exact
+    Python int across the `sieves.pieces` of each segment, so its compensation stays 0.  A piece
+    that holds a checkpoint is prefix-summed as int64 into one reused buffer of PIECE_VALUES + 1
+    entries, and S(c) is the carry plus the prefix at c - lo + 1 values; any other piece is summed
+    in numpy's small cast buffers, so no reduction casts more than PIECE_VALUES values at once.
+    Von Mangoldt's carry is a float across whole segments, whose `SparseSegment` weights are
+    summed pairwise, or in order where the segment holds a checkpoint: the zero-filled segment's
+    nonzero terms in its order, so S(c) takes those at offsets up to c - lo.
     """
     dense = kind.is_integer_valued
     dtype, scalar = (np.int64, int) if dense else (np.float64, float)
     sums: list = []
     idx = 0
     total = comp = scalar(0)
-    buf = np.zeros(1, dtype=dtype)  # reused by every segment: one prefix array is ever alive
+    buf = np.zeros(PIECE_VALUES + 1 if dense else 1, dtype=dtype)  # one prefix array is ever alive
     for lo, hi, vals in segments:
-        terms = vals if dense else vals.weights
-        if idx < len(cps) and cps[idx] <= hi:
-            if len(buf) <= len(terms):
-                buf = np.zeros(len(terms) + 1, dtype=dtype)
-            prefix = buf[: len(terms) + 1]  # prefix[k]: the sum of the first k terms
-            np.cumsum(terms, dtype=dtype, out=prefix[1:])
-            while idx < len(cps) and cps[idx] <= hi:
-                k = cps[idx] - lo + 1 if dense else vals.offsets.searchsorted(cps[idx] - lo, "right")
-                sums.append(total + scalar(prefix[k]))
-                idx += 1
-            seg_total = scalar(prefix[-1])
-        else:
-            seg_total = scalar(terms.sum(dtype=dtype))
-        y = seg_total - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        for lo, hi, terms in pieces(lo, vals) if dense else [(lo, hi, vals.weights)]:
+            if idx < len(cps) and cps[idx] <= hi:
+                if len(buf) <= len(terms):
+                    buf = np.zeros(len(terms) + 1, dtype=dtype)
+                prefix = buf[: len(terms) + 1]  # prefix[k]: the sum of the first k terms
+                np.cumsum(terms, dtype=dtype, out=prefix[1:])
+                while idx < len(cps) and cps[idx] <= hi:
+                    k = cps[idx] - lo + 1 if dense else vals.offsets.searchsorted(cps[idx] - lo, "right")
+                    sums.append(total + scalar(prefix[k]))
+                    idx += 1
+                part_total = scalar(prefix[-1])
+            else:
+                part_total = scalar(terms.sum(dtype=dtype))
+            y = part_total - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
     return sums
 
 

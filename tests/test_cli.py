@@ -435,7 +435,7 @@ def test_byte_identical_reruns(tmp_path):
     "kind, command, n, bytes_per_value",
     [
         ("moebius", "stats", 2**25, 0.5),
-        ("moebius", "normality", 2**25, 0.5),
+        ("moebius", "normality", 2**25, 0.25),
         ("von_mangoldt", "normality", 2**23, 4),
         ("moebius", "dependence", 2**25, 1),
         ("von_mangoldt", "dependence", 2**23, 17),

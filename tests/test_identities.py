@@ -48,6 +48,25 @@ def test_identities_match_the_sieve(kind, cps, segment_size):
     assert got == sieved(kind, cps, segment_size=segment_size)
 
 
+def test_prime_count_across_the_cube_root():
+    """The primes above c^(1/3) are applied in one batch; c <= 3000 and p^3 - 1, p^3 and p^3 + 1
+    for the primes p <= 300 move primes across that bound, all checkpoints of one sieve pass."""
+    cubes = {p**3 + d for p in sieves.base_primes(300).tolist() for d in (-1, 0, 1)}
+    cps = sorted(cubes.union(range(1, 3001)))
+    assert [identities.prime_count(c) for c in cps] == sieved(ss.PRIME, cps)
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 1000])
+def test_prime_count_batches_do_not_depend_on_their_size(pairs, monkeypatch):
+    expected = [identities.prime_count(c) for c in (10**6, 2 * 10**7 + 1)]
+    monkeypatch.setattr(identities, "PAIRS", pairs)
+    assert [identities.prime_count(c) for c in (10**6, 2 * 10**7 + 1)] == expected
+
+
+def test_prime_count_at_ten_to_the_ten():
+    assert identities.prime_count(10**10) == 455052511  # OEIS A006880
+
+
 @pytest.mark.parametrize("kind", [ss.PRIME, ss.MOEBIUS], ids=str)
 def test_routes_agree_at_ten_to_the_eight(kind):
     cps = [99_999_989, 10**8]

@@ -3,10 +3,12 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats.normality import block_sums, normal_cdf, squarefree_parity_weight_moments
-from sievestats.sieves import ValueTable, iter_segments
+from sievestats.sieves import PIECE_VALUES, ValueTable, iter_segments
 
 INTEGER_KINDS = [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
                  ss.PARITY_WEIGHT, ss.omega_equals(2)]
@@ -99,6 +101,29 @@ def test_block_sums_carry_straddling_blocks_exactly(kind, segment_size, n):
         got = block_sums(kind, n, block_size, iter(segments))
         assert got.dtype == np.float64
         assert np.array_equal(got, expected), block_size
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_block_sums_match_a_dense_reduceat(data):
+    """Block sums reduced piece by piece equal `np.add.reduceat` of the whole array for the
+    integer kinds, for segments below, at and above PIECE_VALUES values and not multiples of it,
+    with blocks that start on the first or last value of a piece or a segment, and n at a segment
+    end or anywhere."""
+    sizes = [1000, PIECE_VALUES - 1, PIECE_VALUES, PIECE_VALUES + 1, 2 * PIECE_VALUES, 3 * PIECE_VALUES + 7]
+    size = data.draw(st.sampled_from(sizes) | st.integers(100, 3 * PIECE_VALUES), label="size")
+    at_end = st.integers(1, (2**21 + 3) // size).map(lambda k: k * size).filter(lambda n: n >= 3000)
+    n = data.draw(at_end | st.integers(3000, 2**21 + 3), label="n")
+    edges = [100, 128, 1024, PIECE_VALUES - 1, PIECE_VALUES, PIECE_VALUES + 1, size - 1, size, size + 1]
+    fitting = [b for b in edges if 100 <= b <= n // 30]
+    block_size = data.draw(st.sampled_from(fitting) | st.integers(100, n // 30), label="block size")
+    kind = data.draw(st.sampled_from(INTEGER_KINDS), label="kind")
+    segments = list(iter_segments(kind, 1, n, segment_size=size))
+    values = np.concatenate([vals for _, _, vals in segments])[: n // block_size * block_size]
+    expected = np.add.reduceat(values, np.arange(0, len(values), block_size), dtype=np.int64)
+    got = block_sums(kind, n, block_size, iter(segments))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
 
 
 def test_block_standardize_degenerate_variance():

@@ -114,6 +114,39 @@ def test_sieve_table_peak_memory(workers):
     assert peak < 1.5 * n, f"{peak / n:.2f} bytes per value"
 
 
+@pytest.mark.parametrize(
+    "kind, mib",
+    [
+        (ss.PRIME, 1.25),
+        (ss.TWIN_PRIME, 2.25),
+        (ss.SQUAREFREE, 1.25),
+        (ss.MOEBIUS, 2.25),
+        (ss.LIOUVILLE, 2.25),
+        (ss.PARITY_WEIGHT, 2.25),
+        (ss.omega_equals(2), 3.25),
+        (ss.VON_MANGOLDT, 1.6),
+    ],
+    ids=str,
+)
+def test_segment_kernel_peak_memory(kind, mib):
+    """One 2^20-value segment at 10^8 holds its int8 values (1 MiB), the prime flags they come from
+    (twin primes), or the uint8 log accumulator and one bool mask of a power-of-two range (moebius,
+    Liouville, parity weight; omega adds its int8 counts).  No kernel returns a cast copy of its
+    own buffer; those copies cost one more MiB for primes, twin primes, moebius and the parity
+    weight."""
+    lo = 10**8
+    hi = lo + 2**20 - 1
+    base = sieves.sieve_base(hi + 2)
+    sieves._segment_values(kind, lo, hi, base)  # the wheel patterns are built once, on first use
+    tracemalloc.start()
+    try:
+        sieves._segment_values(kind, lo, hi, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_cross_kind_consistency(mu_table, sf_table, pw_table):
     mu = mu_table.values
     sf = sf_table.values

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 import sievestats as ss
 from sievestats import normality, sums
-from sievestats.sieves import DEFAULT_SEGMENT_SIZE, iter_segments, oracle_value
+from sievestats.cli import run
+from sievestats.sieves import DEFAULT_SEGMENT_SIZE, PIECE_VALUES, iter_segments, oracle_value, segment_bounds
+
+INTEGER_KINDS = [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
+                 ss.PARITY_WEIGHT, ss.omega_equals(2)]
+#: Segment sizes below, at and above PIECE_VALUES, and not multiples of it.
+PIECE_SIZES = [1000, PIECE_VALUES - 1, PIECE_VALUES, PIECE_VALUES + 1, 2 * PIECE_VALUES, 3 * PIECE_VALUES + 7]
 
 
 def oracle_prefix(kind, n):
@@ -152,3 +159,50 @@ def test_von_mangoldt_sums_and_block_sums_within_sequential_bound(data):
     ends = at.searchsorted(np.arange(len(blocks) + 1) * block, "right")
     for j, got in enumerate(blocks.tolist()):
         assert _within_sequential_bound(got, weights[ends[j] : ends[j + 1]]), j
+
+
+def piece_edges(n, size):
+    """The first and last value of every piece of every `size`-value segment of [1, n], and the
+    values beside them: a piece edge at a multiple of 2^16 holds 0 for most kinds."""
+    edges = {c for lo, hi in segment_bounds(1, n, size) for at in range(lo, hi + 1, PIECE_VALUES)
+             for c in (lo, hi, at, min(at + PIECE_VALUES - 1, hi))}
+    return sorted({c + d for c in edges for d in (-1, 0, 1) if 1 <= c + d <= n})
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_checkpoint_sums_match_a_dense_cumsum(data):
+    """S(c) summed piece by piece equals the dense int64 cumsum for every integer kind, with
+    checkpoints on and beside the first and last value of every piece and segment, and n_max at a
+    segment end or anywhere."""
+    size = data.draw(st.sampled_from(PIECE_SIZES) | st.integers(100, 3 * PIECE_VALUES), label="size")
+    at_end = st.integers(1, max(1, 2**19 // size)).map(lambda k: k * size)
+    n = data.draw(at_end | st.integers(1, 2**19), label="n")
+    extra = data.draw(st.lists(st.integers(1, n), max_size=10), label="checkpoints")
+    cps = sorted({*piece_edges(n, size), *extra})
+    for kind in INTEGER_KINDS:
+        segments = list(iter_segments(kind, 1, n, segment_size=size))
+        dense = np.cumsum(np.concatenate([vals for _, _, vals in segments]), dtype=np.int64)
+        got = sums.checkpoint_sums(kind, cps, iter(segments))
+        assert got == dense[np.array(cps) - 1].tolist(), kind
+        assert all(type(s) is int for s in got)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["twin_prime_indicator", "omega_equals:2"])
+def test_sieve_route_sum_peak_memory(kind, workers, tmp_path):
+    """A sieve-route `sum` holds the segments in flight and no segment-sized prefix: a checkpoint
+    in each of 8 segments of 2^20 values costs one 2^16-value piece's int64 prefix.  Whole-segment
+    int64 prefixes and the kernels' int8 copies of their own buffers peaked at 17.1-17.5 MiB at one
+    worker and 22.2-22.7 MiB at two; now 3.6-4.6 and 5.6-8.6 MiB."""
+    n = 2**23
+    cps = ",".join(str(k * 2**20 - 5) for k in range(1, 9))
+    argv = ["sum", "--kind", kind, "--n-max", str(n), "--checkpoints", cps, "--workers", str(workers),
+            "--output", str(tmp_path / "out.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n, f"{peak / 2**20:.2f} MiB"

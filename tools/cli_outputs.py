@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 111 CLI commands and keep every output.
+"""Run a fixed matrix of 115 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -10,7 +10,11 @@ across 2^20-value segment boundaries; `stats` and `normality` (with the
 blocks CSV, 977-value blocks straddling segments) on moebius and von
 Mangoldt at 3*10^6; von Mangoldt `sum`, `stats` and `normality` (1024-value
 blocks) to 2^21 + 1, where the prime powers 2^20 and 2^21 are the last values
-of the first two segments; `dependence` with its report at 3*10^6, at lags that
+of the first two segments; twin-prime and omega = 2 `sum` to 2^21 + 1 with
+checkpoints on the edges of 2^16-value pieces and of segments, and Liouville
+`normality` there with 100-value blocks (with the blocks CSV); prime `sum` to
+10^9 on the identity route with checkpoints at 11^3 and 29^3 and beside them;
+`dependence` with its report at 3*10^6, at lags that
 shift the joint counts by whole and partial 64-bit words, and at
 n = 3000001 on von Mangoldt and twin primes, whose report windows start and
 end inside 64-bit words, and on moebius and the parity weight with report
@@ -73,6 +77,8 @@ SPARSE_KINDS = (
 SPARSE_CHECKPOINTS = "1,2,10,1000,65536,1000000,4194304,10000000,19999999,20000000"
 #: Report checkpoints on 64-bit word and 2^20-value segment edges, to n = 3000001.
 EDGE_CHECKPOINTS = "1,63,64,65,1048575,1048576,1048577,2097152,3000000,3000001"
+#: Checkpoints on the edges of 2^16-value pieces and 2^20-value segments, to n = 2^21 + 1.
+PIECE_CHECKPOINTS = "1,65535,65536,65537,1048575,1048576,1048577,2097152,2097153"
 #: 3*10^6 values from a lo inside a 64-bit word, across 2^20-value segments.
 TABLE_LO = 10**8 - 1_234_567
 TABLE_HI = TABLE_LO + 2_999_999
@@ -166,6 +172,17 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("normality_von_mangoldt_segment_edges",
          ["normality", "--kind", "von_mangoldt", "--n", "2097153", "--block-size", "1024",
           "--blocks-csv", str(out / "normality_von_mangoldt_segment_edges.blocks.csv")]),
+    ]
+    for kind in ("twin_prime_indicator", "omega_equals:2"):
+        cmds.append((f"sum_{kind.replace(':', '_')}_piece_edges",
+                     ["sum", "--kind", kind, "--n-max", "2097153", "--checkpoints", PIECE_CHECKPOINTS]))
+    cmds += [
+        ("normality_liouville_piece_edges",
+         ["normality", "--kind", "liouville", "--n", "2097153", "--block-size", "100",
+          "--blocks-csv", str(out / "normality_liouville_piece_edges.blocks.csv")]),
+        ("sum_prime_indicator_cubes",  # 11^3 and 29^3 on the identity route
+         ["sum", "--kind", "prime_indicator", "--n-max", "1000000000",
+          "--checkpoints", "1330,1331,1332,24388,24389,24390,1000000000"]),
     ]
     for kind in ("moebius", "von_mangoldt"):
         name = f"normality_{kind}_multi_segment"
