@@ -117,7 +117,7 @@ def _cmd_table(args) -> int:
     kind, lo, hi = parse_kind(args.kind), args.lo, args.hi
     sieves.validate_range(lo, hi, segment_size=sieves.DEFAULT_SEGMENT_SIZE)
     cache = None if args.cache_dir is None else Path(args.cache_dir) / f"{kind}_{lo}_{hi}.csv"
-    pieces = sieves.table_pieces(kind, lo, hi, sieves.iter_segments(kind, lo, hi, workers=args.workers))
+    pieces = sieves.table_pieces(kind, lo, hi, sieves.iter_segments(kind, lo, hi))
     if cache is None:
         _emit(pieces, args.output)
     elif cache.exists():
@@ -137,7 +137,7 @@ def _cmd_sum(args) -> int:
     from .sums import accumulate
 
     kind = parse_kind(args.kind)
-    series = accumulate(kind, args.n_max, _parse_int_list(args.checkpoints), workers=args.workers)
+    series = accumulate(kind, args.n_max, _parse_int_list(args.checkpoints))
     rows = list(zip(series.checkpoints, series.sums))
     _emit(_csv_text("n,S", rows), args.output)
     return 0
@@ -148,7 +148,7 @@ def _cmd_stats(args) -> int:
 
     kind = parse_kind(args.kind)
     check_cdf_range(kind, args.n)
-    counts = empirical.value_counts(kind, sieves.iter_segments(kind, 1, args.n, workers=args.workers))
+    counts = empirical.value_counts(kind, sieves.iter_segments(kind, 1, args.n))
     mom = empirical.moments_from_counts(kind, args.n, *counts)
     cdf = empirical.cdf_from_counts(args.n, *counts)
     _emit(_json_text({"cdf": cdf, "moments": mom}), args.output)
@@ -169,7 +169,7 @@ def _cmd_dependence(args) -> int:
     elif args.checkpoints is not None:
         raise ValueError("--checkpoints is only read with --report")
     check_cdf_range(kind, args.n)
-    segments = sieves.iter_segments(kind, 1, args.n, workers=args.workers)
+    segments = sieves.iter_segments(kind, 1, args.n)
     pairs = mixing.PairCounts(args.n, segments, kind.alphabet())  # for the CSV rows and the report
     alpha = [pairs.alpha(h) if kind.alphabet() else float("nan") for h in lags]
     _emit(_csv_text("lag,r_hat,alpha_hat", zip(lags, pairs.covariances(lags), alpha)), args.output)
@@ -183,7 +183,7 @@ def _cmd_normality(args) -> int:
     from . import normality, sieves
 
     kind = parse_kind(args.kind)
-    segments = sieves.iter_segments(kind, 1, args.n, workers=args.workers)
+    segments = sieves.iter_segments(kind, 1, args.n)
     blocks = normality.block_sample(kind, args.n, args.block_size, segments)
     report = normality.normality_report(str(kind), args.n, blocks)
     _emit(_json_text(report), args.output)
@@ -225,7 +225,7 @@ def _cmd_deviation(args) -> int:
     if args.mode == "variance-growth":
         if args.checkpoints is not None:
             raise ValueError("--checkpoints is not read in --mode variance-growth")
-        growth = dev.variance_growth(kind, args.n_max, args.block_size, workers=args.workers)
+        growth = dev.variance_growth(kind, args.n_max, args.block_size)
         _emit(_json_text(growth), args.output)
         return 0
     from .sums import accumulate
@@ -238,7 +238,7 @@ def _cmd_deviation(args) -> int:
     checkpoints = (
         _parse_int_list(args.checkpoints) if args.checkpoints else _geometric_grid(args.n_max, "--n-max")
     )
-    series = accumulate(kind, args.n_max, checkpoints, workers=args.workers)
+    series = accumulate(kind, args.n_max, checkpoints)
     report = check(series, args.trend_c, spec)
     _emit(_json_text(report), args.output)
     if args.trajectory is not None:
@@ -253,7 +253,7 @@ def _cmd_deviation(args) -> int:
 def _cmd_riemann_check(args) -> int:
     from . import deviation as dev
 
-    report = dev.mertens_riemann_check(args.n_max, args.xi, workers=args.workers)
+    report = dev.mertens_riemann_check(args.n_max, args.xi)
     _emit(_json_text(report), args.output)
     return 0 if report.passed else 1
 
@@ -269,7 +269,7 @@ def _cmd_oeis_check(args) -> int:
         indices = [i for i in indices if i <= args.n_max]
     if not indices:
         raise ValueError("no usable b-file indices at or below n_max")
-    series = accumulate(kind, indices[-1], indices, workers=args.workers)
+    series = accumulate(kind, indices[-1], indices)
     mismatches = oeis.oeis_check(series, bfile)
     result = {
         "kind": str(kind),
@@ -290,7 +290,9 @@ def _cmd_oeis_check(args) -> int:
 
 def _add_common(parser, *, workers=True, output=True):
     if workers:
-        parser.add_argument("--workers", type=int, default=1)
+        parser.add_argument(
+            "--workers", type=int, default=1, help="accepted and ignored: segments are sieved one at a time"
+        )
     if output:
         parser.add_argument("--output", default="-")
 

@@ -177,7 +177,8 @@ def mertens_riemann_check(
     """Exhaustive |M(n)| <= n^(1/2+xi) scan over every 2 <= n <= n_max.
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
-    unreliable here.  Streams over sieve segments, so memory stays bounded.
+    unreliable here.  Streams over sieve segments, so memory stays bounded; `workers` is
+    accepted and ignored, as in `iter_segments`.
     Each segment is read in chunks of CHUNK values, whose int16 totals (a sum over the
     segment's (chunks, CHUNK) reshape, which casts no copy of the segment) give
     a = M(lo - 1) and b = M(hi) for every chunk [lo, hi] of s values.  M moves
@@ -202,7 +203,7 @@ def mertens_riemann_check(
 
     running, worst, argmax, skipped = 0, None, 0, 1  # n = 1 is skipped
     steps = np.arange(CHUNK)
-    for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size, workers=workers):
+    for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size):
         offsets, full = np.arange(0, len(vals), CHUNK), len(vals) // CHUNK
         totals = np.empty(len(offsets), dtype=np.int16)  # |total| <= CHUNK; summed in small buffers
         vals[: full * CHUNK].reshape(full, CHUNK).sum(axis=1, dtype=np.int16, out=totals[:full])

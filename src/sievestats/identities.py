@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, base_primes, sieve_table
+from .sieves import DEFAULT_SEGMENT_SIZE, base_primes, iter_segments
 
 PAIRS = 1 << 14  # the most (p, k) pairs `prime_count` applies at once
 
@@ -49,9 +49,10 @@ def prefers_identities(kind: FunctionKind, cps: list[int], n_max: int) -> bool:
 class _MoebiusTable:
     """mu(0..u) and M(0..u) from one moebius sieve, with mu(0) = M(0) = 0."""
 
-    def __init__(self, u: int, **sieve):
+    def __init__(self, u: int, *, segment_size: int):
         mu = np.zeros(u + 1, dtype=np.int8)
-        mu[1:] = sieve_table(MOEBIUS, 1, u, **sieve).values
+        for lo, hi, vals in iter_segments(MOEBIUS, 1, u, segment_size=segment_size):
+            mu[lo : hi + 1] = vals
         self.u = u
         self.mu = mu
         self.m = np.cumsum(mu, dtype=np.int32)
@@ -140,12 +141,9 @@ def identity_sums(
     cps: list[int],
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> list[int]:
-    """S(c) for each checkpoint c of a kind in IDENTITY_TAGS.
-
-    `segment_size` and `workers` are passed to the moebius sieve to u.
-    """
+    """S(c) for each checkpoint c of a kind in IDENTITY_TAGS; the moebius sieve to u streams
+    `segment_size`-value segments into its table."""
     if kind.tag not in IDENTITY_TAGS:
         raise ValueError(f"no prefix-sum identity for {kind}")
     if kind.tag == "prime_indicator":
@@ -153,7 +151,7 @@ def identity_sums(
     u = math.isqrt(cps[-1])
     if kind.tag != "squarefree_indicator":
         u = max(u, round(cps[-1] ** (2 / 3)))
-    table = _MoebiusTable(u, segment_size=segment_size, workers=workers)
+    table = _MoebiusTable(u, segment_size=segment_size)
     if kind.tag == "squarefree_indicator":
         return [table.squarefree_count(c) for c in cps]
     out = []

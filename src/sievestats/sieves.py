@@ -1,9 +1,10 @@
 """Segmented sieves that materialize arithmetic-function values over a range.
 
 All sieves stream over cache-sized segments, so ranges up to the fixed
-maximum `DEFAULT_MAX_HI` = 10^9 run in bounded memory.  Segments are
-independent and may be sieved concurrently; results are always delivered in
-ascending order, so downstream reductions stay deterministic.
+maximum `DEFAULT_MAX_HI` = 10^9 run in bounded memory.  Every stream is
+one loop on the calling thread: each segment is sieved when its consumer
+asks for it, in ascending order, so a reduction reads f(lo), f(lo + 1), ...
+in order, and the stream holds one segment at a time.
 
 A segment kernel starts from a residue pattern of the wheel primes 2, 3, 5,
 7, 11 and 13 (`_wheels`, built on first use), copied or tiled from lo mod
@@ -15,8 +16,8 @@ writes through its strided view in place (`_sieve_steps`), because
 at least as long as the segment hits it at most once, so all such steps are
 one scatter.  Primes, units, squares and prime powers are computed once per
 stream (`sieve_base`).  A von Mangoldt segment is a `SparseSegment` of its prime powers, about
-1 in 20 values at 10^9: a fresh psi(10^9) `sum` takes 5.5-6.5 s and 35 MiB at one worker, 4.7-5.0 s
-and 40 MiB at two (2 vCPUs; dense float64 segments: 7.7-7.9 s, 49 MiB; 5.9-6.6 s, 82-90 MiB).
+1 in 20 values at 10^9: a fresh psi(10^9) `sum` takes 5.5-6.5 s and 35 MiB (2 vCPUs; dense
+float64 segments: 7.7-7.9 s, 49 MiB).
 
 A slow trial-division oracle (`factor_signature`, `oracle_value`) computes
 the same functions straight from the definitions and is the independent
@@ -31,7 +32,6 @@ import io
 import itertools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -72,8 +72,7 @@ class ValueTable:
     """Dense values of one arithmetic function on the inclusive range [lo, hi].
 
     Integer kinds use an int8 buffer; von Mangoldt uses float64, which `segments` yields as
-    `SparseSegment`s, as `iter_segments` does.  A completed table is treated as immutable and
-    is safe to share across threads.
+    `SparseSegment`s, as `iter_segments` does.  A completed table is treated as immutable.
     """
 
     kind: FunctionKind
@@ -334,32 +333,15 @@ def iter_segments(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> Iterator[tuple[int, int, np.ndarray | SparseSegment]]:
-    """Yield (seg_lo, seg_hi, values) covering [lo, hi] in ascending order; von Mangoldt's
-    values are `SparseSegment`s.
+    """Yield (seg_lo, seg_hi, values) covering [lo, hi] in ascending order, each segment sieved
+    on the calling thread when it is asked for; von Mangoldt's values are `SparseSegment`s.
 
-    With workers > 1 segments are sieved on a thread pool with a bounded prefetch window, but
-    they are still yielded in range order, so consumers see the same stream regardless of scheduling.
+    `workers` is accepted and ignored: every stream runs this one loop.
     """
     validate_range(lo, hi, segment_size=segment_size)
     base = sieve_base(hi + 2)  # +2 covers the twin lookahead
-    bounds = segment_bounds(lo, hi, segment_size)
-    if workers <= 1 or len(bounds) == 1:
-        for a, b in bounds:
-            yield a, b, _segment_values(kind, a, b, base)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        it = iter(bounds)
-        for a, b in itertools.islice(it, workers + 1):
-            pending.append((a, b, pool.submit(_segment_values, kind, a, b, base)))
-        while pending:
-            a, b, fut = pending.popleft()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append((nxt[0], nxt[1], pool.submit(_segment_values, kind, nxt[0], nxt[1], base)))
-            yield a, b, fut.result()
+    for a, b in segment_bounds(lo, hi, segment_size):
+        yield a, b, _segment_values(kind, a, b, base)
 
 
 def sieve_table(
@@ -370,8 +352,9 @@ def sieve_table(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> ValueTable:
-    """Materialize f(lo..hi) as a ValueTable, each segment written into one buffer."""
-    segments = iter_segments(kind, lo, hi, segment_size=segment_size, workers=workers)
+    """Materialize f(lo..hi) as a ValueTable, each segment written into one buffer; `workers`
+    is accepted and ignored, as in `iter_segments`."""
+    segments = iter_segments(kind, lo, hi, segment_size=segment_size)
     return table_from_segments(kind, lo, hi, segments)
 
 

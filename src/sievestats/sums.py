@@ -44,14 +44,15 @@ def accumulate(
     Sparse checkpoints of the kinds in `identities.IDENTITY_TAGS` come from
     exact floor-quotient identities (routed by
     `identities.prefers_identities`); everything else from one streaming
-    sieve pass over [1, n_max].  Both routes refuse the same inputs.
+    sieve pass over [1, n_max].  Both routes refuse the same inputs.  `workers` is accepted
+    and ignored, as in `sieves.iter_segments`.
     """
     cps = validate_checkpoints(checkpoints, n_max)
     validate_range(1, n_max, segment_size=segment_size)
     if prefers_identities(kind, cps, n_max):
-        sums = identity_sums(kind, cps, segment_size=segment_size, workers=workers)
+        sums = identity_sums(kind, cps, segment_size=segment_size)
     else:
-        segments = iter_segments(kind, 1, n_max, segment_size=segment_size, workers=workers)
+        segments = iter_segments(kind, 1, n_max, segment_size=segment_size)
         sums = checkpoint_sums(kind, cps, segments)
     return SummationSeries(kind, tuple(cps), tuple(sums))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sievestats import deviation, sieves
+from sievestats import sieves
 from sievestats.cli import run
 from sievestats.kinds import MOEBIUS, parse_kind
 from sievestats.sieves import oracle_value, sieve_table, write_table_csv
@@ -311,26 +311,6 @@ def test_deviation_command_counting(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert traj.read_text().splitlines()[0] == "n,deviation,ratio"
-
-
-def test_deviation_variance_growth_passes_workers(tmp_path, monkeypatch):
-    seen = []
-    real = deviation.variance_growth
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("workers"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(deviation, "variance_growth", spy)
-    outputs = []
-    for workers in ("2", "1"):
-        out = tmp_path / f"vg{workers}.json"
-        assert run(["deviation", "--kind", "moebius", "--n-max", "100000",
-                    "--mode", "variance-growth", "--block-size", "1000",
-                    "--workers", workers, "--output", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert seen == [2, 1]
-    assert outputs[0] == outputs[1]  # exact sums: the worker count cannot show
 
 
 def test_deviation_command_failing_exit_code(tmp_path):

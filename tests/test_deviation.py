@@ -248,7 +248,7 @@ def test_riemann_check_on_walks_that_meet_the_chunk_bound(runs, segment_size):
     """
     vals = np.repeat(np.array([1, *(v for v, _ in runs)], np.int8), [1, *(k for _, k in runs)])
 
-    def walk(kind, lo, hi, *, segment_size, workers):
+    def walk(kind, lo, hi, *, segment_size):
         for a in range(lo, hi + 1, segment_size):
             yield a, min(a + segment_size - 1, hi), vals[a - 1 : a - 1 + segment_size]
 

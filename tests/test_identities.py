@@ -134,7 +134,7 @@ def segment_calls(monkeypatch):
             raise _SieveRoute
         return real(kind, lo, hi, **kwargs)
 
-    for module in (sieves, sums, deviation):
+    for module in (sieves, sums, deviation, identities):
         monkeypatch.setattr(module, "iter_segments", spy)
     return calls
 

@@ -1,5 +1,5 @@
-"""Each subcommand imports only the modules it runs, the CLI runs BLAS on one thread, and the
-package exports load on access."""
+"""Each subcommand imports only the modules it runs, the CLI runs BLAS on one thread and starts
+no sieve pool, and the package exports load on access."""
 
 import json
 import os
@@ -27,6 +27,13 @@ RUN_AND_LIST = (
 RUN_AND_COUNT_THREADS = (
     "import atexit, os, runpy, sys\n"
     "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+    "runpy.run_module('sievestats', run_name='__main__')\n"
+)
+
+#: `python -m sievestats ARGS` that also prints, at exit, whether `concurrent.futures` was loaded.
+RUN_AND_CHECK_POOL = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('concurrent.futures' in sys.modules, file=sys.stderr))\n"
     "runpy.run_module('sievestats', run_name='__main__')\n"
 )
 
@@ -73,6 +80,16 @@ def test_cli_process_runs_one_thread():
     child = _fresh(RUN_AND_COUNT_THREADS, *argv, OPENBLAS_NUM_THREADS="2")
     assert child.returncode == 0, child.stderr
     assert child.stderr.splitlines()[-1] == "1"
+
+
+def test_workers_flag_is_accepted_and_starts_no_pool():
+    # Every stream is sieved on the calling thread: `--workers 2` prints what `--workers 1` does.
+    argv = ["sum", "--kind", "twin_prime_indicator", "--n-max", "3000000", "--checkpoints", "3000000"]
+    one, two = (_fresh(RUN_AND_CHECK_POOL, *argv, "--workers", w) for w in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout.startswith("n,S\n3000000,")
+    assert two.stdout == one.stdout
+    assert two.stderr.splitlines()[-1] == "False"
 
 
 def test_plain_import_loads_no_submodule():

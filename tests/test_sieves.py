@@ -90,24 +90,17 @@ def test_offset_window_matches_full_sieve(kind):
     assert np.array_equal(window.values, full.values[lo - 1 :])
 
 
-def test_workers_produce_identical_tables():
-    serial = sieve_table(ss.MOEBIUS, 1, 10**6, segment_size=1 << 17, workers=1)
-    parallel = sieve_table(ss.MOEBIUS, 1, 10**6, segment_size=1 << 17, workers=4)
-    assert np.array_equal(serial.values, parallel.values)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sieve_table_peak_memory(workers):
+def test_sieve_table_peak_memory():
     """Segments are written into one int8 table: about 1 byte per value.
 
     Collecting the segments and concatenating them holds every value twice,
-    2 bytes per value.  What lies above 1 byte is the segments in flight,
-    so n spans 32 segments to keep them a small share.
+    2 bytes per value.  What lies above 1 byte is the segment in flight,
+    so n spans 32 segments to keep it a small share.
     """
     n = 2**25
     tracemalloc.start()
     try:
-        sieve_table(ss.MOEBIUS, 1, n, workers=workers)
+        sieve_table(ss.MOEBIUS, 1, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -585,11 +578,10 @@ def test_signature_log_units_are_far_from_rounding_ties():
     lo=st.integers(1, 2 * 10**5),
     length=st.integers(1, 400),
     segment_size=st.integers(1, 512),
-    workers=st.sampled_from([1, 2]),
 )
-def test_signature_kinds_match_oracle_on_random_windows(kind, lo, length, segment_size, workers):
+def test_signature_kinds_match_oracle_on_random_windows(kind, lo, length, segment_size):
     hi = min(lo + length - 1, 2 * 10**5)
-    _assert_matches_oracle(kind, lo, hi, segment_size=segment_size, workers=workers)
+    _assert_matches_oracle(kind, lo, hi, segment_size=segment_size)
 
 
 def test_wheel_patterns_match_their_definitions():
