@@ -317,7 +317,7 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     from .sums import checkpoint_sums
 
     n = pairs.n
-    if pairs.alphabet is None:  # the sparse segments `accumulate` reads, so the Kahan carry matches
+    if pairs.alphabet is None:  # each S(c) rounded once, as `accumulate` rounds it
         sums = checkpoint_sums(kind, cps, ValueTable(kind, 1, n, pairs.values).segments(n))
     else:  # S(c): each value's counts on [0, c1), [c1, c2), ..., summed up to c, dotted with the alphabet
         counts = [pairs.range_counts(a, b) for a, b in zip([0, *cps], cps)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinds import FunctionKind
-from .sieves import ValueTable, pieces
+from .sieves import ValueTable, range_sums
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -74,35 +74,11 @@ def block_count(n: int, block_size: int) -> int:
 
 
 def block_sums(kind: FunctionKind, n: int, block_size: int, segments) -> np.ndarray:
-    """T_1, ..., T_{n//B} of f(1..n) as float64, from ascending (lo, hi, values) segments.
-
-    Integer segments are reduced in their `sieves.pieces`, each at its block starts by one int64
-    `np.add.reduceat`, which casts the piece's at most PIECE_VALUES values; a block that straddles
-    two pieces or segments carries its partial sum into the next.  Values past n//B blocks go
-    unread.  Von Mangoldt's `SparseSegment` weights are added into blocks by `np.bincount`, split
-    into heads on the 2^-22 grid, whose sums below 2^30 > psi(10^9) are exact, and the small rest:
-    each block's part of a segment is rounded once, as `math.fsum` rounds.
-    """
-    count = block_count(n, block_size)
-    end = count * block_size
-    dense = kind.is_integer_valued
-    sums = np.zeros(count, dtype=np.int64 if dense else np.float64)
-    for lo, hi, vals in segments:
-        if lo > end:
-            break
-        for lo, _, part in pieces(lo, vals[: end - lo + 1]) if dense else [(lo, hi, vals)]:
-            block = (lo - 1) // block_size
-            if dense:
-                first = -(lo - 1) % block_size  # offset of the first block start in the piece
-                starts = np.arange(first or block_size, len(part), block_size)
-                parts = np.add.reduceat(part, np.concatenate(([0], starts)), dtype=np.int64)
-            else:
-                kept = part.offsets.searchsorted(end - lo + 1)
-                at, weights = (part.offsets[:kept] + lo - 1) // block_size - block, part.weights[:kept]
-                head = np.rint(weights * 2.0**22) / 2.0**22  # multiples of 2^-22 below 2^30 add exactly
-                parts = np.bincount(at, head) + np.bincount(at, weights - head)
-            sums[block : block + len(parts)] += parts
-    return sums.astype(np.float64)
+    """T_1, ..., T_{n//B} of f(1..n) as float64: `sieves.range_sums` at the block ends, from
+    ascending (lo, hi, values) segments, so values past n//B blocks go unread; integer sums are
+    exact, and each von Mangoldt T_j is rounded once, as `math.fsum` rounds."""
+    ends = np.arange(1, block_count(n, block_size) + 1) * block_size
+    return range_sums(kind, ends, segments).sum(axis=0).astype(np.float64)
 
 
 def block_sample(kind: FunctionKind, n: int, block_size: int, segments) -> BlockSample:

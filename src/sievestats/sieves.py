@@ -115,6 +115,42 @@ def pieces(lo: int, values: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]
         yield lo + at, lo + at + len(piece) - 1, piece
 
 
+def range_sums(kind: FunctionKind, ends, segments) -> np.ndarray:
+    """The sum of f over each range (e', e] between consecutive ascending `ends`, the first from
+    the stream's start, read from ascending (lo, hi, values) segments up to ends[-1] only.
+
+    Two rows add up to the sums.  Integer kinds: the exact int64 sums, by one `np.add.reduceat`
+    per `pieces` piece at the range starts inside it (a piece that holds none is summed), and 0s.
+    Von Mangoldt: each weight w splits into its head h, w rounded to the 2^-22 grid, and the rest
+    w - h, both exact; the heads' sums are exact, as psi(10^9) 2^22 < 2^53, and the rests' tiny,
+    so the rows' sum, or that of their running sums, rounds once, as `math.fsum` does.
+    """
+    ends = np.asarray(ends, dtype=np.int64)
+    last = int(ends[-1])
+    rows = np.zeros((2, len(ends)), dtype=np.int64 if kind.is_integer_valued else np.float64)
+    for lo, hi, values in segments:
+        if kind.is_integer_valued:
+            for a, b, piece in pieces(lo, values[: last - lo + 1]):
+                first, final = ends.searchsorted((a, b))  # the ranges holding a and b
+                if first == final:
+                    rows[0, first] += piece.sum(dtype=np.int64)
+                else:
+                    starts = np.concatenate(([0], ends[first:final] + 1 - a))
+                    rows[0, first : final + 1] += np.add.reduceat(piece, starts, dtype=np.int64)
+        else:
+            kept = values.offsets.searchsorted(last - lo + 1)
+            offsets, weights = values.offsets[:kept], values.weights[:kept]
+            head = weights + 2.0**30  # the 2^-22 grid: Rump, Ogita & Oishi's exact extraction
+            head -= 2.0**30
+            first, final = ends.searchsorted((lo, min(hi, last)))
+            bounds = np.concatenate(([0], offsets.searchsorted(ends[first:final] + 1 - lo), [kept]))
+            held = np.flatnonzero(np.diff(bounds))  # the ranges that hold a weight
+            rows[:, first + held] += [np.add.reduceat(part, bounds[held]) for part in (head, weights - head)]
+        if hi >= last:
+            return rows
+    raise ValueError(f"the segments end before {last}")
+
+
 def prime_flags_upto(limit: int) -> np.ndarray:
     """Dense primality flags for 0..limit (plain Eratosthenes)."""
     flags = np.ones(limit + 1, dtype=bool)

@@ -53,6 +53,10 @@ def _fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
         (["riemann-check", "--n-max", "1000"], {"cli", "kinds", "sieves", "deviation"}),
         (["ergodic", "--atoms", "0:2,1.0471975511965976:1", "--n", "1000"], {"cli", "kinds", "spectral"}),
         (["dependence", "--kind", "moebius", "--n", "1000", "--lags", "1..3"], {"cli", "kinds", "sieves", "mixing"}),
+        (["normality", "--kind", "moebius", "--n", "3000", "--block-size", "100"],
+         {"cli", "kinds", "sieves", "normality"}),
+        (["deviation", "--kind", "moebius", "--n-max", "3000", "--mode", "variance-growth", "--block-size", "100"],
+         {"cli", "kinds", "sieves", "deviation", "normality"}),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import sievestats as ss
 from sievestats import normality, sums
 from sievestats.cli import run
-from sievestats.sieves import DEFAULT_SEGMENT_SIZE, PIECE_VALUES, iter_segments, oracle_value, segment_bounds
+from sievestats.sieves import (DEFAULT_SEGMENT_SIZE, PIECE_VALUES, iter_segments, oracle_value, range_sums,
+                               segment_bounds)
 
 INTEGER_KINDS = [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
                  ss.PARITY_WEIGHT, ss.omega_equals(2)]
@@ -99,8 +100,8 @@ def test_von_mangoldt_sum_is_compensated_and_close():
 
 
 def test_von_mangoldt_checkpoint_sums_pinned():
-    # Exact float64 results of the Kahan carry over 997-value segments, with
-    # checkpoint-free segments summed pairwise; any change to that order shows.
+    # Each equals `math.fsum` of the weights up to its checkpoint, over 997-value segments:
+    # the split into exact heads on the 2^-22 grid and small rests rounds each sum once.
     series = ss.accumulate(ss.VON_MANGOLDT, 10**6, [1000, 65536, 10**6], segment_size=997)
     assert series.sums == (996.6809122471752, 65466.400464967504, 999586.597495633)
 
@@ -119,18 +120,11 @@ def test_squarefree_sqrt_deviation_bounded_to_1e7():
     assert constant <= 2.0
 
 
-def _within_sequential_bound(got, weights):
-    """|got - fsum(weights)| <= m * 2^-53 * sum(weights): the rounding bound of m sequential
-    float adds of m positive weights (an empty sum must be exactly 0)."""
-    exact = math.fsum(weights)
-    return abs(got - exact) <= len(weights) * 2.0**-53 * exact
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
-def test_von_mangoldt_sums_and_block_sums_within_sequential_bound(data):
-    """S(c) and the block sums T_j from von Mangoldt's sparse segments, against `math.fsum` of
-    the same weights, on small segments or on default ones across 2^20 and 2^21."""
+def test_von_mangoldt_sums_and_block_sums_equal_fsum(data):
+    """Every S(c) and every block sum T_j from von Mangoldt's sparse segments equals `math.fsum`
+    of the same weights, on small segments or on default ones across 2^20 and 2^21."""
     default = data.draw(st.booleans(), label="default segments")
     if default:
         size, n = DEFAULT_SEGMENT_SIZE, data.draw(st.integers(2**21 - 3, 2**21 + 3), label="n")
@@ -144,12 +138,33 @@ def test_von_mangoldt_sums_and_block_sums_within_sequential_bound(data):
     at = np.concatenate([segment.offsets + lo for lo, _, segment in segments])
     weights = np.concatenate([segment.weights for _, _, segment in segments]).tolist()
     for c, got in zip(cps, sums.checkpoint_sums(ss.VON_MANGOLDT, cps, iter(segments))):
-        assert _within_sequential_bound(got, weights[: int(at.searchsorted(c, "right"))]), c
+        assert got == math.fsum(weights[: int(at.searchsorted(c, "right"))]), c
     block = data.draw(st.integers(1000 if default else 100, n // 30), label="block size")
     blocks = normality.block_sums(ss.VON_MANGOLDT, n, block, iter(segments))
     ends = at.searchsorted(np.arange(len(blocks) + 1) * block, "right")
     for j, got in enumerate(blocks.tolist()):
-        assert _within_sequential_bound(got, weights[ends[j] : ends[j + 1]]), j
+        assert got == math.fsum(weights[ends[j] : ends[j + 1]]), j
+
+
+def test_sieve_route_sum_stops_at_the_last_checkpoint(monkeypatch):
+    """The stream is read only up to the last checkpoint: one of the ten segments of [1, 10^7]."""
+    drawn = []
+    real = sums.iter_segments
+
+    def spy(*args, **kwargs):
+        for segment in real(*args, **kwargs):
+            drawn.append(segment[:2])
+            yield segment
+
+    monkeypatch.setattr(sums, "iter_segments", spy)
+    assert ss.accumulate(ss.TWIN_PRIME, 10**7, [1000]).sums == (35,)
+    assert drawn == [(1, DEFAULT_SEGMENT_SIZE)]
+
+
+@pytest.mark.parametrize("kind", [ss.MOEBIUS, ss.VON_MANGOLDT], ids=str)
+def test_range_sums_refuse_a_stream_that_ends_early(kind):
+    with pytest.raises(ValueError, match="the segments end before 5001"):
+        range_sums(kind, [10, 5001], iter_segments(kind, 1, 5000, segment_size=997))
 
 
 def piece_edges(n, size):
