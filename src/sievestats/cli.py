@@ -19,10 +19,7 @@ import sys
 
 # OpenBLAS reads this once, when numpy loads it; every entry point imports this module
 # before numpy.  No hot path calls BLAS, but a pool of nproc - 1 threads would start and
-# busy-wait in every process (about 0.1 s of CPU per process on 2 vCPUs), and the threads
-# would split the dot products of von Mangoldt autocovariances, whose last digits would
-# then depend on the host's core count.  Set, not defaulted: a user's value would bring
-# those host-dependent bytes back.
+# busy-wait in every process (about 0.1 s of CPU per process on 2 vCPUs), whatever a user set.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402

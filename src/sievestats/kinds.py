@@ -105,15 +105,21 @@ def check_cdf_range(kind: FunctionKind, n: int) -> None:
         )
 
 
+def increasing_ints(values, name: str, minimum: int) -> list[int]:
+    """`values` as ints; refuses an empty list, a value below `minimum` and a repeat or descent."""
+    out = [int(v) for v in values]
+    if not out:
+        raise ValueError(f"at least one {name} is required")
+    if min(out) < minimum:
+        raise ValueError(f"{name}s must be >= {minimum}")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name}s must be strictly increasing")
+    return out
+
+
 def validate_checkpoints(checkpoints, n_max: int) -> list[int]:
     """Checkpoints as ints; refuses an empty, unsorted or out-of-[1, n_max] list."""
-    cps = [int(c) for c in checkpoints]
-    if not cps:
-        raise ValueError("at least one checkpoint is required")
-    if cps[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+    cps = increasing_ints(checkpoints, "checkpoint", 1)
     if cps[-1] > n_max:
         raise ValueError(f"checkpoint {cps[-1]} exceeds n_max={n_max}")
     return cps

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .kinds import VON_MANGOLDT, FunctionKind, validate_checkpoints
-from .sieves import ValueTable, table_from_segments
+from .kinds import VON_MANGOLDT, FunctionKind, increasing_ints, validate_checkpoints
+from .sieves import SparseSegment, ValueTable, range_sums
 
 DEFAULT_REPORT_LAGS = tuple(range(1, 21)) + (50, 100)
 
@@ -38,13 +38,7 @@ class CovarianceSequence:
 
 
 def validate_lags(lags, n: int, minimum: int = 0) -> list[int]:
-    out = [int(h) for h in lags]
-    if not out:
-        raise ValueError("at least one lag is required")
-    if any(h < minimum for h in out):
-        raise ValueError(f"lags must be >= {minimum}")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("lags must be strictly increasing")
+    out = increasing_ints(lags, "lag", minimum)
     if out[-1] >= n / 2:
         raise ValueError(f"max lag {out[-1]} must be below n/2 = {n / 2}")
     return out
@@ -144,29 +138,30 @@ def _window_lag(lag: int, n: int) -> bool:
 
 
 class PairCounts:
-    """Lagged pair statistics of f on [1, n]: packed once, each (lag, range) counted once.
+    """Lagged pair statistics of f on [1, n]: read once, each (lag, range) counted once.
 
-    Reads ascending (lo, hi, values) segments covering [1, n].  A finite alphabet
-    is packed by `_value_bits` into one bitset per value but the last;
-    `joint(lag, start, stop)` counts J_lag on positions [start, stop) with
-    `_lag_counts` when first asked for, then keeps it, and `range_counts` keeps
-    each range's value counts the same way.  J_lag on [0, n) for a lag the
-    report windows count is their sum, plus the pairs that straddle a window
-    end or lie past the last window, so [0, n) is covered once per lag.  Von
-    Mangoldt's segments are scattered into one float64 array by `table_from_segments`.
+    Reads ascending (lo, hi, values) segments covering [1, n].  A finite alphabet is packed
+    by `_value_bits` into one bitset per value but the last; von Mangoldt keeps its sparse
+    form, the positions k - 1 of its prime powers k and their weights, and a bool flag per
+    position.  `joint(lag, start, stop)` counts a lag's pairs on positions [start, stop) the
+    first time it is asked, then keeps them: J_lag by `_lag_counts`, or von Mangoldt's cross
+    moment by `_sparse_cross`.  On [0, n), at a lag the report windows count, that is the
+    windows' sum plus the pairs that straddle a window end or lie past the last window.
     """
 
     def __init__(self, n: int, segments, alphabet):
-        self.n, self.alphabet = n, alphabet
+        self.n, self.alphabet, self._joint = n, alphabet, {}
         if alphabet is None:
-            self.values = table_from_segments(VON_MANGOLDT, 1, n, segments).values
-            self.mean = float(self.values.mean())
-            return
-        self.bits, self.counts = _value_bits(n, segments, alphabet)
-        self.a = np.array(alphabet, dtype=np.int64)
-        self.mean = int(self.a @ self.counts) / n
-        self._counts = {(0, n): self.counts}
-        self._joint: dict[tuple[int, int, int], np.ndarray] = {}
+            parts = [(values.offsets + (lo - 1), values.weights) for lo, _, values in segments]
+            self.positions, self.weights = (np.concatenate(part) for part in zip(*parts))
+            self.segments = [(1, n, SparseSegment(n, self.positions, self.weights))]
+            self.flags = np.zeros(n, dtype=bool)
+            self.flags[self.positions] = True
+        else:
+            self.bits, self.counts = _value_bits(n, segments, alphabet)
+            self.a = np.array(alphabet, dtype=np.int64)
+            self._counts = {(0, n): self.counts}
+        self.mean = self._moments([], 0, n)[0] / n
 
     def range_counts(self, start: int, stop: int) -> np.ndarray:
         """Each alphabet value's count on positions [start, stop), the last one by difference."""
@@ -175,35 +170,55 @@ class PairCounts:
             self._counts[start, stop] = np.append(found, stop - start - found.sum())
         return self._counts[start, stop]
 
-    def joint(self, lag: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def joint(self, lag: int, start: int = 0, stop: int | None = None):
+        """J_lag on positions [start, stop), or von Mangoldt's sum w(k) w(k + lag) there."""
         key = (lag, start, stop or self.n)
         if key not in self._joint:
             if key[1:] == (0, self.n) and _window_lag(lag, self.n):
                 windows = _report_windows(self.n)
                 edges = [(b - lag, b + lag) for _, b in windows[:-1]] + [(windows[-1][1] - lag, self.n)]
                 self._joint[key] = sum(self.joint(lag, a, b) for a, b in windows + edges if b - a > lag)
+            elif self.alphabet is None:
+                self._joint[key] = self._sparse_cross(*key)
             else:
                 self._joint[key] = _lag_counts(self.bits, *key, self.range_counts(*key[1:]))
         return self._joint[key]
 
-    def covariances(self, lags, start: int = 0, stop: int | None = None) -> list[float]:
-        """Centered covariances on [start, stop): cross = a.J.a, head and tail sums from J."""
-        if self.alphabet is None:
-            from .spectral import empirical_autocovariance
+    def _sparse_cross(self, lag: int, start: int, stop: int) -> float:
+        """sum w(k) w(k + lag) over the positions k in [start, stop - lag) whose k + lag is
+        flagged, pairwise; each partner's index found by a search among the positions."""
+        first, last = self.positions.searchsorted((start, stop - lag))
+        pairs = first + np.flatnonzero(self.flags[self.positions[first:last] + lag])
+        partners = self.positions.searchsorted(self.positions[pairs] + lag) if lag else pairs
+        return float(np.sum(self.weights[pairs] * self.weights[partners]))
 
-            return empirical_autocovariance(self.values[start:stop], lags).tolist()
-        n, a = (stop or self.n) - start, self.a
-        counts = self.range_counts(start, stop or self.n)
-        mean = int(a @ counts) / n
-        out = []
-        for h in lags:
-            if h == 0:
-                out.append(max(int(a * a @ counts) / n - mean * mean, 0.0))
-                continue
-            joint = self.joint(h, start, stop)
-            heads_tails = int(a @ joint.sum(axis=1)) + int(a @ joint.sum(axis=0))
-            out.append((int(a @ joint @ a) - mean * heads_tails) / (n - h) + mean * mean)
-        return out
+    def covariances(self, lags, start: int = 0, stop: int | None = None) -> list[float]:
+        """Centered covariances on [start, stop) by one formula over `_moments`: the range's sum
+        S, and at each lag h the cross moment C = sum f(k) f(k + h) and the sum E over the first
+        and the last n - h values; r(h) = (C - m E)/(n - h) + m^2 with m = S/n, r(0) = C/n - m^2."""
+        stop = stop or self.n
+        n, (total, moments) = stop - start, self._moments(lags, start, stop)
+        mean = total / n
+        return [(cross - mean * ends) / (n - h) + mean * mean if h else max(cross / n - mean * mean, 0.0)
+                for h, (cross, ends) in zip(lags, moments)]
+
+    def _moments(self, lags, start: int, stop: int) -> tuple:
+        """S and each lag's (C, E) for `covariances`.  Exact ints for an alphabet: C = a.J.a,
+        E from J's row and column sums, J_0 the diagonal of the counts.  Von Mangoldt: S and the
+        head and tail sums from one `range_sums` call, each rounded once, and C from `joint`."""
+        if self.alphabet:
+            a, counts = self.a, self.range_counts(start, stop)
+            joints = [self.joint(h, start, stop) if h else np.diag(counts) for h in lags]
+            return int(a @ counts), [
+                (int(a @ j @ a), int(a @ j.sum(axis=1)) + int(a @ j.sum(axis=0))) for j in joints]
+        ends = sorted({start, stop, *(e for h in lags for e in (start + h, stop - h))})
+        rows = dict(zip(ends, np.cumsum(range_sums(VON_MANGOLDT, ends, self.segments), axis=1).T))
+
+        def total(a: int, b: int) -> float:  # S on [a, b), its two parts added once
+            return float((rows[b] - rows[a]).sum())
+
+        return total(start, stop), [
+            (self.joint(h, start, stop), total(start, stop - h) + total(start + h, stop)) for h in lags]
 
     def gaps(self, lag: int, rows1, rows2) -> np.ndarray:
         """|P(B1 x B2) - P(B1) P(B2)| over the n - lag pairs, for each value subset B1 of
@@ -222,16 +237,9 @@ class PairCounts:
         return float(self.gaps(lag, subsets, subsets).max())
 
 
-def _table_pairs(table: ValueTable, n: int) -> PairCounts:
-    """`PairCounts` of `table` on [1, n]; von Mangoldt's `prefix(n)` is read as one segment, uncopied."""
-    alphabet = table.kind.alphabet()
-    return PairCounts(n, table.segments(n) if alphabet else [(1, n, table.prefix(n))], alphabet)
-
-
 def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     """r_hat(h) = (1/(n-h)) sum_{k<=n-h} (f(k)-m)(f(k+h)-m), m the mean on [1, n]."""
-    lags = validate_lags(lags, n, minimum=0)
-    pairs = _table_pairs(table, n)
+    lags, pairs = validate_lags(lags, n, minimum=0), PairCounts(n, table.segments(n), table.kind.alphabet())
     return CovarianceSequence(n, tuple(lags), tuple(pairs.covariances(lags)), pairs.mean)
 
 
@@ -251,7 +259,7 @@ def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
     if not b1 <= set(alphabet) or not b2 <= set(alphabet):
         raise ValueError(f"subsets must lie within the alphabet {alphabet}")
     rows1, rows2 = ([[a in b for a in alphabet]] for b in (b1, b2))
-    return float(_table_pairs(table, n).gaps(lag, rows1, rows2)[0, 0])
+    return float(PairCounts(n, table.segments(n), alphabet).gaps(lag, rows1, rows2)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ def alpha_hat(table: ValueTable, n: int, lags) -> MixingEstimate:
     alphabet = table.kind.alphabet()
     if alphabet is None:
         raise ValueError("mixing estimates require a finite-alphabet kind")
-    lags, pairs = validate_lags(lags, n, minimum=1), _table_pairs(table, n)
+    lags, pairs = validate_lags(lags, n, minimum=1), PairCounts(n, table.segments(n), alphabet)
     return MixingEstimate(n, tuple(lags), tuple(pairs.alpha(h) for h in lags))
 
 
@@ -309,16 +317,14 @@ def stationarity_report(
     cps = validate_checkpoints(checkpoints, n)
     if table.kind != kind:
         raise ValueError("table kind does not match the requested kind")
-    return report_from_pairs(kind, cps, _table_pairs(table, n))
+    return report_from_pairs(kind, cps, PairCounts(n, table.segments(n), kind.alphabet()))
 
 
 def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> StationarityReport:
     """`stationarity_report` over checked checkpoints, reading [1, n]'s prebuilt `pairs`."""
-    from .sums import checkpoint_sums
-
     n = pairs.n
-    if pairs.alphabet is None:  # each S(c) rounded once, as `accumulate` rounds it
-        sums = checkpoint_sums(kind, cps, ValueTable(kind, 1, n, pairs.values).segments(n))
+    if pairs.alphabet is None:  # S(c): the running `range_sums` of the kept weights, rounded once
+        sums = np.cumsum(range_sums(kind, cps, pairs.segments), axis=1).sum(axis=0).tolist()
     else:  # S(c): each value's counts on [0, c1), [c1, c2), ..., summed up to c, dotted with the alphabet
         counts = [pairs.range_counts(a, b) for a, b in zip([0, *cps], cps)]
         sums = (np.cumsum(counts, axis=0) @ pairs.a).tolist()
@@ -331,24 +337,18 @@ def report_from_pairs(kind: FunctionKind, cps, pairs: PairCounts) -> Stationarit
     r0, *r_global = pairs.covariances([0, *lags])
 
     # Position stability: covariances recomputed on disjoint windows.
-    stability = 0.0
-    if n // REPORT_WINDOWS >= 2:
-        win_lags = [h for h in lags if _window_lag(h, n)]
-        for start, stop in _report_windows(n):
-            r_window = pairs.covariances(win_lags, start, stop)
-            for rw, rg in zip(r_window, r_global):
-                stability = max(stability, abs(rw - rg))
+    win_lags = [h for h in lags if _window_lag(h, n)]  # none when a window holds under 3 values
+    r_windows = [pairs.covariances(win_lags, *window) for window in _report_windows(n)] if win_lags else []
+    stability = max((abs(rw - rg) for r in r_windows for rw, rg in zip(r, r_global)), default=0.0)
 
     bound = kind.value_bound()
     bounded = bound is not None
-    value_bound = float(bound) if bounded else float(np.max(np.abs(pairs.values)))
+    value_bound = float(bound) if bounded else float(pairs.weights.max(initial=0.0))
 
     mean_threshold = MEAN_TOLERANCE * (1.0 + abs(c_limit))
     cov_threshold = COVARIANCE_FACTOR * r0 / math.sqrt(n)
-    tested = [
-        (h, r) for h, r in zip(lags, r_global) if h >= COVARIANCE_MIN_LAG
-    ]
-    covariance_verdict = all(abs(r) <= cov_threshold for _, r in tested)
+    tested = [r for h, r in zip(lags, r_global) if h >= COVARIANCE_MIN_LAG]
+    covariance_verdict = all(abs(r) <= cov_threshold for r in tested)
 
     return StationarityReport(
         kind=kind,

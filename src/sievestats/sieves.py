@@ -95,16 +95,12 @@ class ValueTable:
         v = self.values[n - self.lo]
         return int(v) if self.kind.is_integer_valued else float(v)
 
-    def prefix(self, n: int) -> np.ndarray:
-        """Values f(1), ..., f(n); requires the table to cover [1, n]."""
+    def segments(self, n: int) -> Iterator[tuple[int, int, np.ndarray | SparseSegment]]:
+        """f(1), ..., f(n) as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
         if self.lo != 1 or self.hi < n or n < 1:
             raise ValueError(f"table [{self.lo}, {self.hi}] does not cover [1, {n}]")
-        return self.values[:n]
-
-    def segments(self, n: int) -> Iterator[tuple[int, int, np.ndarray | SparseSegment]]:
-        """`prefix(n)` as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
-        values, form = self.prefix(n), np.asarray if self.kind.alphabet() else SparseSegment.of
-        return ((lo, hi, form(values[lo - 1 : hi])) for lo, hi in segment_bounds(1, n))
+        form = np.asarray if self.kind.alphabet() else SparseSegment.of
+        return ((lo, hi, form(self.values[lo - 1 : hi])) for lo, hi in segment_bounds(1, n))
 
 
 def pieces(lo: int, values: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:

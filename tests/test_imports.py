@@ -1,5 +1,5 @@
 """Each subcommand imports only the modules it runs, the CLI runs BLAS on one thread and starts
-no sieve pool, and the package exports load on access."""
+no sieve pool, no output depends on BLAS, and the package exports load on access."""
 
 import json
 import os
@@ -38,6 +38,10 @@ RUN_AND_CHECK_POOL = (
 )
 
 
+#: Imports numpy before `sievestats.cli`, then runs the CLI on ARGS.
+NUMPY_FIRST = "import sys, numpy\nfrom sievestats import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+
+
 def _fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     """`code` run in a new interpreter with this checkout's sievestats first on the path,
     and `env` added to its environment."""
@@ -57,6 +61,8 @@ def _fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
          {"cli", "kinds", "sieves", "normality"}),
         (["deviation", "--kind", "moebius", "--n-max", "3000", "--mode", "variance-growth", "--block-size", "100"],
          {"cli", "kinds", "sieves", "deviation", "normality"}),
+        *((["dependence", "--kind", kind, "--n", "1000", "--lags", "1..3", "--report", "-"],
+           {"cli", "kinds", "sieves", "mixing"}) for kind in ("moebius", "von_mangoldt")),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
@@ -69,9 +75,10 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, modules, capsys):
 
 
 def test_von_mangoldt_dependence_bytes_do_not_depend_on_blas_threads():
-    # Its autocovariances are dot products, which OpenBLAS splits across threads above 10^4 values.
+    # numpy loads first, so OpenBLAS keeps the environment's thread count; no output goes through
+    # BLAS, which would split a dot product over more than 10^4 values across its threads.
     argv = ["dependence", "--kind", "von_mangoldt", "--n", "100000", "--lags", "1..5", "--output", "-"]
-    one, two = (_fresh(RUN_AND_LIST, *argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    one, two = (_fresh(NUMPY_FIRST, *argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout.count("\n") == 6
     assert one.stdout == two.stdout

@@ -40,9 +40,8 @@ exit status and error line, so running this on two checkouts and comparing
     diff -r /tmp/before /tmp/after
 
 checks that a change leaves every output byte-identical.  Commands run in
-this process against the checkout's own `src/`.  It imports `sievestats.cli`
-before numpy, so its runs, like the CLI's, use one OpenBLAS thread and give
-the same bytes whatever the host's core count.
+this process against the checkout's own `src/`.  No output goes through
+BLAS, so the host's core count changes no byte.
 
 `tests/data/cli_outputs.sha256` holds the sha256 of every output whose name
 does not contain `von_mangoldt`, `exit_codes.txt` included, and
