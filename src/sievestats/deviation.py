@@ -179,8 +179,9 @@ def mertens_riemann_check(
     The scan is dense on purpose: sign changes of M make checkpoint grids
     unreliable here.  Streams over sieve segments, so memory stays bounded; `workers` is
     accepted and ignored, as in `iter_segments`.
-    Each segment is read in chunks of CHUNK values, whose int16 totals (a sum over the
-    segment's (chunks, CHUNK) reshape, which casts no copy of the segment) give
+    Each segment is read in chunks of CHUNK values, whose int8 totals (one `np.einsum` over
+    the segment's (chunks, CHUNK) reshape, exact because no partial sum of CHUNK = 64 values
+    of mu exceeds 64 in magnitude) give
     a = M(lo - 1) and b = M(hi) for every chunk [lo, hi] of s values.  M moves
     by at most 1 per step, so M(n) <= a + (n - lo + 1) and M(n) <= b + (hi - n)
     on the chunk, and the same below: M lies in [(a + b - s)/2, (a + b + s)/2].
@@ -205,9 +206,9 @@ def mertens_riemann_check(
     steps = np.arange(CHUNK)
     for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size):
         offsets, full = np.arange(0, len(vals), CHUNK), len(vals) // CHUNK
-        totals = np.empty(len(offsets), dtype=np.int16)  # |total| <= CHUNK; summed in small buffers
-        vals[: full * CHUNK].reshape(full, CHUNK).sum(axis=1, dtype=np.int16, out=totals[:full])
-        totals[full:] = vals[full * CHUNK :].sum(dtype=np.int16)  # a short last chunk, if any
+        totals = np.einsum("ij->i", vals[: full * CHUNK].reshape(full, CHUNK))  # int8, uncast
+        if full < len(offsets):  # a short last chunk
+            totals = np.append(totals, vals[full * CHUNK :].sum(dtype=np.int8))
         ends = np.cumsum(totals, dtype=np.int64) + running  # M(chunk hi)
         base, running = ends - totals, int(ends[-1])  # M(chunk lo - 1)
         sizes = np.minimum(len(vals) - offsets, CHUNK)

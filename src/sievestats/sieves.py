@@ -10,12 +10,14 @@ A segment kernel starts from a residue pattern of the wheel primes 2, 3, 5,
 7, 11 and 13 (`_wheels`, built on first use), copied or tiled from lo mod
 WHEEL = 30030.  Those six primes carry over half of the strided writes of a
 plain sieve; here they cost one copy.  The base primes above 13 then write
-their multiples from offsets found in one vectorized step per segment.  Each
-writes through its strided view in place (`_sieve_steps`), because
-`buf[o::p] += u` writes the view a second time through `__setitem__`.  A step
-at least as long as the segment hits it at most once, so all such steps are
-one scatter.  Primes, units, squares and prime powers are computed once per
-stream (`sieve_base`).  A von Mangoldt segment is a `SparseSegment` of its prime powers, about
+their multiples from offsets found in one vectorized step per segment
+(`_sieve_steps`).  A step below a threshold, 2^13 for adds and 2^15 for
+zeros, writes through its own strided view in place, because `buf[o::p] += u`
+writes the view a second time through `__setitem__`.  The larger steps hit a
+segment a few times each, so, as in a bucket sieve, their hits are gathered
+and written in batched scatters, not one numpy call per step.  Primes, units,
+squares and prime powers are computed once per stream (`sieve_base`).
+A von Mangoldt segment is a `SparseSegment` of its prime powers, about
 1 in 20 values at 10^9: a fresh psi(10^9) `sum` takes 5.5-6.5 s and 35 MiB (2 vCPUs; dense
 float64 segments: 7.7-7.9 s, 49 MiB).
 
@@ -48,6 +50,9 @@ LOG_UNITS = 6  # accumulator units per bit in the factor-signature kernel
 SIGNATURE_MAX_HI = 2**36 - 1  # largest hi whose accumulator fits in uint8
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # sieved by tiling residue patterns mod their product
 WHEEL = math.prod(WHEEL_PRIMES)  # 30030
+ADD_BATCH_STEP = 1 << 13  # the least step whose adds `_sieve_steps` batches
+ZERO_BATCH_STEP = 1 << 15  # the least step whose zeros `_sieve_steps` batches
+STRIKE_HITS = 1 << 15  # the most hits one batched scatter applies
 
 
 @dataclass(frozen=True)
@@ -220,25 +225,65 @@ def _tiled(pattern: np.ndarray, lo: int, size: int) -> np.ndarray:
     return np.resize(pattern[start : start + WHEEL], size)
 
 
-def _sieve_steps(buf: np.ndarray, offsets: np.ndarray, steps: np.ndarray, units=None) -> None:
-    """buf[o::s] += u, or buf[o::s] = 0 without `units`, for each offset o, step s and unit u.
+@functools.cache
+def _unit_cells(dtype: np.dtype) -> list[np.ndarray]:
+    """The 256 values of a one-byte `dtype`, each as a read-only 0-d array, indexed by their byte."""
+    cells = [np.array(v) for v in np.arange(256, dtype=np.uint8).view(dtype)]
+    for cell in cells:  # shared by every caller
+        cell.flags.writeable = False
+    return cells
 
-    `steps` ascend.  A step >= len(buf) hits at most once, so all of those are one scatter.
-    Each smaller step adds through its strided view in place: `buf[o::s] += u` would write
-    the view back through `__setitem__`, a second strided pass.
+
+def _sieve_steps(buf: np.ndarray, offsets: np.ndarray, steps: np.ndarray, units=None) -> None:
+    """buf[o::s] += u, or buf[o::s] = 0 without `units`, for each offset o, step s and unit u
+    of buf's one-byte dtype.
+
+    `steps` ascend.  A step below the threshold, ADD_BATCH_STEP for adds and ZERO_BATCH_STEP
+    for zeros (a strided zero costs less per call), writes through its own strided view, in
+    place: `buf[o::s] += u` would write the view back through `__setitem__`, a second strided
+    pass.  An add takes its unit as a prebuilt 0-d array (`_unit_cells`), since numpy converts a
+    scalar operand on every call.  A larger step hits the segment only a few times, so a numpy
+    call of its own would cost more than its writes.  The hits of those steps are gathered, at
+    most STRIKE_HITS at once, from `np.repeat` of the steps and their first offsets by their
+    counts plus one `arange`, and each batch is one scatter: `buf[hits] = 0`, or `np.add.at`,
+    which is unbuffered, so two steps that hit one value both add there.  A step at least as
+    long as the segment is the case of one hit or none.  STRIKE_HITS int64s are 256 KiB, which
+    the allocator reuses; at 2^16 each batch mapped fresh pages and paid their faults.
     """
-    multi = steps.searchsorted(len(buf))
-    once = offsets[multi:] < len(buf)
-    hits = offsets[multi:][once]
+    batched = steps.searchsorted(ZERO_BATCH_STEP if units is None else ADD_BATCH_STEP)
+    strided = zip(offsets[:batched].tolist(), steps[:batched].tolist())
     if units is None:
-        for o, s in zip(offsets[:multi].tolist(), steps[:multi].tolist()):
+        for o, s in strided:
             buf[o::s] = 0
-        buf[hits] = 0
+    else:
+        cells = _unit_cells(buf.dtype)
+        for (o, s), u in zip(strided, units[:batched].view(np.uint8).tolist()):
+            view = buf[o::s]
+            view += cells[u]
+    if batched == len(steps):
         return
-    for o, s, u in zip(offsets[:multi].tolist(), steps[:multi].tolist(), units[:multi]):
-        view = buf[o::s]
-        np.add(view, u, out=view)
-    np.add.at(buf, hits, units[multi:][once])
+    offsets, steps = offsets[batched:], steps[batched:]
+    counts = (len(buf) - 1 - offsets) // steps + 1
+    live = counts > 0  # most steps longer than the segment hit nothing
+    offsets, steps, counts = offsets[live], steps[live], counts[live]
+    if units is not None:
+        units = units[batched:][live]
+    ends = np.cumsum(counts)  # the hits of the steps up to each one
+    at = 0
+    while at < len(steps):
+        done = int(ends[at] - counts[at])
+        stop = max(int(ends.searchsorted(done + STRIKE_HITS, "right")), at + 1)
+        part, times = slice(at, stop), counts[at:stop]
+        # The batch's i-th hit, the k-th of a step whose first hit is the batch's j-th, lands at
+        # o + k*s = (o - j*s) + i*s.
+        hits = np.arange(int(ends[stop - 1]) - done)
+        hits *= np.repeat(steps[part], times)
+        hits += np.repeat(offsets[part] - (ends[part] - times - done) * steps[part], times)
+        if units is None:
+            buf[hits] = 0
+        else:
+            np.add.at(buf, hits, np.repeat(units[part], times))
+        at = stop
 
 
 def _prime_flags_segment(lo: int, hi: int, base: SieveBase) -> np.ndarray:
@@ -267,7 +312,8 @@ def _signature_sign(
     """(-1)^(prime-factor count) of each n in [lo, hi] as int8, from a log sieve.
 
     Counts distinct primes, or primes with multiplicity when `multiplicity`
-    is set; `omega`, if given, gains the distinct-prime count.  A uint8
+    is set; `omega`, if given, the wheel primes' count of each n, gains the
+    count of the other distinct primes.  A uint8
     accumulator `acc` gains L(p), the least odd integer >= S*log2(p) with
     S = LOG_UNITS = 6, at every multiple of each base prime p (and of p^k when
     counting multiplicity).  It starts from the wheel: the sum of L(p) over the
@@ -282,28 +328,26 @@ def _signature_sign(
     as (S-2)*log2(q) >= S for q >= 3.  L(p) <= 7*log2(p) for every p, so
     acc <= 7*log2(n) < 252 for n <= SIGNATURE_MAX_HI = 2^36 - 1: no wrap.
     """
-    size = hi - lo + 1
-    wheel_units, wheel_count, _ = _wheels()
-    acc = _tiled(wheel_units, lo, size)
+    acc = _tiled(_wheels()[0], lo, hi - lo + 1)
     live = slice(len(WHEEL_PRIMES), base.primes.searchsorted(hi, "right"))
     primes = base.primes[live]
     offsets = (-lo) % primes
     _sieve_steps(acc, offsets, primes, base.units[live])
     if omega is not None:
-        omega += _tiled(wheel_count, lo, size)
         _sieve_steps(omega, offsets, primes, np.broadcast_to(np.int8(1), primes.shape))
     if multiplicity:
         powers = base.powers[: base.powers.searchsorted(hi, "right")]
         _sieve_steps(acc, (-lo) % powers, powers, base.power_units[: len(powers)])
     for k in range(lo.bit_length() - 1, hi.bit_length()):
-        part = slice(max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1)
-        bits = acc[part]
-        cofactor = bits < LOG_UNITS * k
-        if omega is not None:
-            count = omega[part]
-            count += cofactor
-        bits &= 1
-        bits ^= cofactor
+        start, stop = max(lo, 1 << k) - lo, min(hi, (2 << k) - 1) - lo + 1
+        for at in range(start, stop, PIECE_VALUES):  # a mask of at most PIECE_VALUES at once
+            bits = acc[at : min(at + PIECE_VALUES, stop)]
+            cofactor = bits < LOG_UNITS * k
+            if omega is not None:
+                count = omega[at : at + len(bits)]
+                count += cofactor
+            bits &= 1
+            bits ^= cofactor
     sign = acc.view(np.int8)
     sign *= -2
     sign += 1
@@ -325,16 +369,22 @@ def _segment_values(kind: FunctionKind, lo: int, hi: int, base: SieveBase) -> np
         return _prime_flags_segment(lo, hi, base).view(np.int8)
     if tag == "twin_prime_indicator":
         flags = _prime_flags_segment(lo, hi + 2, base)
-        return (flags[:-2] & flags[2:]).view(np.int8)
+        twins = flags[:-2]
+        for at, _, piece in pieces(0, twins):  # in place, ascending: no piece reads a flag written before
+            piece &= flags[at + 2 : at + 2 + len(piece)]
+        return twins.view(np.int8)
     if tag == "squarefree_indicator":
         return _strike_squares(np.ones(hi - lo + 1, dtype=np.int8), lo, hi, base)
     if tag in ("moebius", "squarefree_parity_weight"):
         mu = _strike_squares(_signature_sign(lo, hi, base, multiplicity=False), lo, hi, base)
-        return mu if tag == "moebius" else np.add(mu, mu == 1, out=mu)
+        if tag == "squarefree_parity_weight":
+            for _, _, piece in pieces(lo, mu):  # 2 where mu is 1, with a mask of one piece
+                piece += piece == 1
+        return mu
     if tag == "liouville":
         return _signature_sign(lo, hi, base, multiplicity=True)
     if tag == "omega_equals":
-        omega = np.zeros(hi - lo + 1, dtype=np.int8)
+        omega = _tiled(_wheels()[1], lo, hi - lo + 1)  # the wheel primes' count
         _signature_sign(lo, hi, base, multiplicity=True, omega=omega)
         return np.equal(omega, kind.k, out=omega.view(bool)).view(np.int8)
     if tag == "von_mangoldt":

@@ -107,6 +107,21 @@ def test_sieve_table_peak_memory():
     assert peak < 1.5 * n, f"{peak / n:.2f} bytes per value"
 
 
+def _segment_peak_mib(kind):
+    """Traced peak of one 2^20-value segment at 10^8, in MiB."""
+    lo = 10**8
+    hi = lo + 2**20 - 1
+    base = sieves.sieve_base(hi + 2)
+    sieves._segment_values(kind, lo, hi, base)  # the wheel patterns are built once, on first use
+    tracemalloc.start()
+    try:
+        sieves._segment_values(kind, lo, hi, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 @pytest.mark.parametrize(
     "kind, mib",
     [
@@ -123,21 +138,37 @@ def test_sieve_table_peak_memory():
 )
 def test_segment_kernel_peak_memory(kind, mib):
     """One 2^20-value segment at 10^8 holds its int8 values (1 MiB), the prime flags they come from
-    (twin primes), or the uint8 log accumulator and one bool mask of a power-of-two range (moebius,
+    (twin primes), or the uint8 log accumulator and at most one segment-sized temporary (moebius,
     Liouville, parity weight; omega adds its int8 counts).  No kernel returns a cast copy of its
     own buffer; those copies cost one more MiB for primes, twin primes, moebius and the parity
     weight."""
-    lo = 10**8
-    hi = lo + 2**20 - 1
-    base = sieves.sieve_base(hi + 2)
-    sieves._segment_values(kind, lo, hi, base)  # the wheel patterns are built once, on first use
-    tracemalloc.start()
-    try:
-        sieves._segment_values(kind, lo, hi, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < mib * 2**20, f"{peak / 2**20:.2f} MiB"
+    peak = _segment_peak_mib(kind)
+    assert peak < mib, f"{peak:.2f} MiB"
+
+
+@pytest.mark.parametrize(
+    "kind, mib",
+    [
+        (ss.PRIME, 1.2),
+        (ss.TWIN_PRIME, 1.2),
+        (ss.SQUAREFREE, 1.15),
+        (ss.MOEBIUS, 1.5),
+        (ss.LIOUVILLE, 1.5),
+        (ss.PARITY_WEIGHT, 1.5),
+        (ss.omega_equals(2), 2.5),
+        (ss.VON_MANGOLDT, 1.5),
+    ],
+    ids=str,
+)
+def test_segment_kernel_peak_memory_in_pieces(kind, mib):
+    """The same segment without a segment-sized temporary: the prime flags (primes, twin primes)
+    or the uint8 log accumulator (moebius, Liouville, parity weight; omega adds its int8 counts).
+    Masks and the twin `&` take 2^16 values at a time, and the batched strikes' indices at most
+    STRIKE_HITS int64s.  Measured: 1.11 MiB for primes and twin primes, 1.06 squarefree, 1.42 the
+    signature kinds, 2.42 omega = 2, 1.44 von Mangoldt; before the pieces, a whole-segment mask
+    or `&` cost one more MiB."""
+    peak = _segment_peak_mib(kind)
+    assert peak < mib, f"{peak:.2f} MiB"
 
 
 def test_cross_kind_consistency(mu_table, sf_table, pw_table):
@@ -685,3 +716,105 @@ def test_von_mangoldt_segment_allocates_no_dense_floats():
         tracemalloc.stop()
     assert len(segment) == 1 << 20 and len(segment.offsets) < 60000
     assert peak < 4 << 20, f"{peak / 2**20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# Batched strikes: every kernel against itself with each step strided
+# ---------------------------------------------------------------------------
+
+
+def _segment_bytes(kind, lo, hi, base):
+    values = sieves._segment_values(kind, lo, hi, base)
+    if isinstance(values, sieves.SparseSegment):
+        return values.offsets.tobytes() + values.weights.tobytes()
+    return values.dtype.str.encode() + values.tobytes()
+
+
+def _dense(values):
+    if isinstance(values, sieves.SparseSegment):
+        dense = np.zeros(len(values))
+        dense[values.offsets] = values.weights
+        return dense
+    return values
+
+
+def _batched_and_strided(kind, lo, hi, base, monkeypatch):
+    """The kernel's bytes, then its bytes with both thresholds above every step, each strided."""
+    batched = _segment_bytes(kind, lo, hi, base)
+    with monkeypatch.context() as mp:
+        mp.setattr(sieves, "ADD_BATCH_STEP", 1 << 62)
+        mp.setattr(sieves, "ZERO_BATCH_STEP", 1 << 62)
+        return batched, _segment_bytes(kind, lo, hi, base)
+
+
+@pytest.mark.parametrize("hi", [10**8, 10**9])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_batched_strikes_match_strided_writes(kind, hi, monkeypatch):
+    lo = hi - (1 << 20) + 1
+    base = sieves.sieve_base(hi + 2)
+    if hi == 10**9:  # the moebius primes' batched hits span several scatters
+        primes = base.primes[base.primes.searchsorted(sieves.ADD_BATCH_STEP) :]
+        assert ((1 << 20) // primes).sum() > 4 * sieves.STRIKE_HITS
+    batched, strided = _batched_and_strided(kind, lo, hi, base, monkeypatch)
+    assert batched == strided
+
+
+@pytest.mark.parametrize("kind", SIGNATURE_KINDS, ids=str)
+def test_batched_strikes_at_the_signature_cap(kind, monkeypatch):
+    hi = SIGNATURE_MAX_HI
+    lo = hi - (1 << 20) + 1
+    base = sieves.sieve_base(hi + 2)
+    batched, strided = _batched_and_strided(kind, lo, hi, base, monkeypatch)
+    assert batched == strided
+    values = sieves._segment_values(kind, lo, hi, base)
+    points = [hi, *np.random.default_rng(36).integers(lo, hi, 19).tolist()]
+    assert [int(values[n - lo]) for n in points] == [oracle_value(kind, n) for n in points]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_batched_strikes_on_segments_as_long_as_the_thresholds(kind, monkeypatch):
+    """From lo = ZERO_BATCH_STEP^2 = 2^30 every kernel has steps at and above both thresholds.  On
+    segments of T - 1, T and T + 1 values for each threshold T, the steps near T, such as the
+    prime 8191 and the power 2^13 of the add path, hit the segment once or twice."""
+    lo = sieves.ZERO_BATCH_STEP**2
+    base = sieves.sieve_base(lo + 2 * sieves.ZERO_BATCH_STEP)
+    for threshold in (sieves.ADD_BATCH_STEP, sieves.ZERO_BATCH_STEP):
+        for size in (threshold - 1, threshold, threshold + 1):
+            hi = lo + size - 1
+            batched, strided = _batched_and_strided(kind, lo, hi, base, monkeypatch)
+            assert batched == strided, f"{size} values"
+            values = _dense(sieves._segment_values(kind, lo, hi, base))
+            ends = [oracle_value(kind, n) for n in (lo, hi)]
+            assert [values[0], values[-1]] == pytest.approx(ends, abs=1e-12), f"{size} values"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    size=st.integers(1, 300),
+    steps=st.lists(st.integers(1, 400), min_size=0, max_size=40, unique=True).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.integers(1, 500),
+    batch=st.integers(1, 64),
+    dtype=st.sampled_from([np.uint8, np.int8, None]),
+)
+def test_sieve_steps_match_a_loop_per_step(size, steps, seed, threshold, batch, dtype):
+    """Against buf[o::s] += u (or = 0) one step at a time, at any threshold and batch size: a
+    step's hits may outnumber a batch, offsets may lie past the buffer, and steps may share hits."""
+    rng = np.random.default_rng(seed)
+    buf = rng.integers(0, 256, size).astype(np.uint8).view(dtype or np.uint8)
+    steps = np.array(steps, dtype=np.int64)
+    offsets = rng.integers(0, 2 * size, len(steps)).astype(np.int64)
+    units = None if dtype is None else rng.integers(0, 256, len(steps)).astype(np.uint8).view(dtype)
+    want = buf.copy()
+    for k, (o, s) in enumerate(zip(offsets.tolist(), steps.tolist())):
+        view = want[o::s]
+        if units is None:
+            view[:] = 0
+        else:
+            view += units[k]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieves, "ADD_BATCH_STEP", threshold)
+        mp.setattr(sieves, "ZERO_BATCH_STEP", threshold)
+        mp.setattr(sieves, "STRIKE_HITS", batch)
+        sieves._sieve_steps(buf, offsets, steps, units)
+    assert buf.tobytes() == want.tobytes()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of 116 CLI commands and keep every output.
+"""Run a fixed matrix of 119 CLI commands and keep every output.
 
 The matrix covers all 8 kinds at n = 10^6 with table, sum, stats, dependence
 (with the stationarity report) and normality (with the blocks CSV); `sum` at
@@ -28,9 +28,12 @@ ergodic at n = 10^5 and, with its MSE and autocovariance outputs, at
 n = 10^9, and at n = 10^6 on atoms at -pi, pi and 10^-9; oeis-check on both vendored
 b-files; `table` over 3*10^6 values from an unaligned lo on
 moebius, von Mangoldt, the parity weight, Liouville, omega = 3 and the prime
-indicator; a table of the one value 2^20 and one of [1, 2^20 + 1], whose last
-segment holds one value; a moebius table cache miss followed by a hit, and
-the same over 3*10^6 von Mangoldt values; and 19 inputs that
+indicator; `table` over the 2^20 + 1 values ending at 10^9 on moebius,
+omega = 2 and twin primes, whose kernels strike the base primes from 2^13
+(adds) or 2^15 (zeros) on in batched scatters; a table of the one value 2^20
+and one of [1, 2^20 + 1], whose last segment holds one value; a moebius
+table cache miss followed by a hit, and the same over 3*10^6 von Mangoldt
+values; and 19 inputs that
 must be refused (exit status 2, one error line, no output file).  Each
 command writes its outputs under OUTDIR, and `exit_codes.txt` records every
 exit status and error line, so running this on two checkouts and comparing
@@ -212,6 +215,9 @@ def matrix(out: pathlib.Path) -> list[tuple[str, list[str]]]:
                  "prime_indicator"):
         cmds.append((f"table_{kind.replace(':', '_')}_multi_segment",
                      ["table", "--kind", kind, "--lo", str(TABLE_LO), "--hi", str(TABLE_HI)]))
+    for kind in ("moebius", "omega_equals:2", "twin_prime_indicator"):  # batched strikes at 10^9
+        cmds.append((f"table_{kind.replace(':', '_')}_to_1e9",
+                     ["table", "--kind", kind, "--lo", str(10**9 - 2**20), "--hi", str(10**9)]))
     cmds += [
         ("table_one_value", ["table", "--kind", "moebius", "--lo", "1048576", "--hi", "1048576"]),
         ("table_one_value_last_segment",
