@@ -51,24 +51,20 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (str, int, float)):  # most of a report: its floats
-        return obj
+def _json_fields(obj):
+    """`json.dumps`'s hook for what it cannot encode: a kind as its name, a dataclass as the dict
+    of its fields (their values are encoded in turn)."""
     if isinstance(obj, FunctionKind):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
     import json
 
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, default=_json_fields, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -112,7 +108,7 @@ def _cmd_table(args) -> int:
     from . import sieves
 
     kind, lo, hi = parse_kind(args.kind), args.lo, args.hi
-    sieves.validate_range(lo, hi, segment_size=sieves.DEFAULT_SEGMENT_SIZE)
+    sieves.validate_range(lo, hi)
     cache = None if args.cache_dir is None else Path(args.cache_dir) / f"{kind}_{lo}_{hi}.csv"
     pieces = sieves.table_pieces(kind, lo, hi, sieves.iter_segments(kind, lo, hi))
     if cache is None:
@@ -285,13 +281,12 @@ def _cmd_oeis_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, *, workers=True, output=True):
+def _add_common(parser, *, workers=True):
     if workers:
         parser.add_argument(
             "--workers", type=int, default=1, help="accepted and ignored: segments are sieved one at a time"
         )
-    if output:
-        parser.add_argument("--output", default="-")
+    parser.add_argument("--output", default="-")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments
+from .sieves import iter_segments
 
 if TYPE_CHECKING:
     from .sums import SummationSeries
@@ -167,13 +167,7 @@ def exponent_check(series: SummationSeries, c: float, xi: float) -> DeviationRep
     return _worst_report(series, c, lambda n, s: exponent_ratio(n, s, c, xi), xi=xi)
 
 
-def mertens_riemann_check(
-    n_max: int,
-    xi: float,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> DeviationReport:
+def mertens_riemann_check(n_max: int, xi: float, *, workers: int = 1) -> DeviationReport:
     """Exhaustive |M(n)| <= n^(1/2+xi) scan over every 2 <= n <= n_max.
 
     The scan is dense on purpose: sign changes of M make checkpoint grids
@@ -204,7 +198,7 @@ def mertens_riemann_check(
 
     running, worst, argmax, skipped = 0, None, 0, 1  # n = 1 is skipped
     steps = np.arange(CHUNK)
-    for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max, segment_size=segment_size):
+    for lo, hi, vals in iter_segments(MOEBIUS, 1, n_max):
         offsets, full = np.arange(0, len(vals), CHUNK), len(vals) // CHUNK
         totals = np.einsum("ij->i", vals[: full * CHUNK].reshape(full, CHUNK))  # int8, uncast
         if full < len(offsets):  # a short last chunk
@@ -265,12 +259,7 @@ def growth_from_block_sums(block_sums: np.ndarray, block_size: int) -> VarianceG
     )
 
 
-def variance_growth(
-    kind: FunctionKind,
-    n_max: int,
-    block_size: int,
-    **kwargs,
-) -> VarianceGrowth:
+def variance_growth(kind: FunctionKind, n_max: int, block_size: int) -> VarianceGrowth:
     """Trajectory of h_hat(n) = D(S_n)/n estimated from disjoint block sums.
 
     Near-linear variance growth shows up as a log-log slope near zero.
@@ -278,5 +267,5 @@ def variance_growth(
     from .normality import block_count, block_sums
 
     end = block_count(n_max, block_size) * block_size
-    segments = iter_segments(kind, 1, end, **kwargs)
+    segments = iter_segments(kind, 1, end)
     return growth_from_block_sums(block_sums(kind, end, block_size, segments), block_size)

@@ -74,7 +74,7 @@ def moments(table: ValueTable, n: int) -> EmpiricalMoments:
     return moments_from_counts(table.kind, n, *value_counts(table.kind, table.segments(n)))
 
 
-def density(kind: FunctionKind, n: int, **kwargs) -> float:
+def density(kind: FunctionKind, n: int) -> float:
     """Fraction Q(n)/n of integers in [1, n] satisfying an indicator kind."""
     if not kind.is_indicator:
         raise ValueError(f"density requires an indicator kind, got {kind}")
@@ -82,7 +82,7 @@ def density(kind: FunctionKind, n: int, **kwargs) -> float:
         raise ValueError("n must be >= 1")
     from .sums import accumulate
 
-    return accumulate(kind, n, [n], **kwargs).sums[0] / n
+    return accumulate(kind, n, [n]).sums[0] / n
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .kinds import MOEBIUS, FunctionKind
-from .sieves import DEFAULT_SEGMENT_SIZE, base_primes, iter_segments
+from .sieves import base_primes, iter_segments
 
 PAIRS = 1 << 14  # the most (p, k) pairs `prime_count` applies at once
 
@@ -49,9 +49,9 @@ def prefers_identities(kind: FunctionKind, cps: list[int], n_max: int) -> bool:
 class _MoebiusTable:
     """mu(0..u) and M(0..u) from one moebius sieve, with mu(0) = M(0) = 0."""
 
-    def __init__(self, u: int, *, segment_size: int):
+    def __init__(self, u: int):
         mu = np.zeros(u + 1, dtype=np.int8)
-        for lo, hi, vals in iter_segments(MOEBIUS, 1, u, segment_size=segment_size):
+        for lo, hi, vals in iter_segments(MOEBIUS, 1, u):
             mu[lo : hi + 1] = vals
         self.u = u
         self.mu = mu
@@ -136,14 +136,9 @@ def prime_count(c: int) -> int:
     return int(large[1])
 
 
-def identity_sums(
-    kind: FunctionKind,
-    cps: list[int],
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> list[int]:
+def identity_sums(kind: FunctionKind, cps: list[int]) -> list[int]:
     """S(c) for each checkpoint c of a kind in IDENTITY_TAGS; the moebius sieve to u streams
-    `segment_size`-value segments into its table."""
+    its segments into one table."""
     if kind.tag not in IDENTITY_TAGS:
         raise ValueError(f"no prefix-sum identity for {kind}")
     if kind.tag == "prime_indicator":
@@ -151,7 +146,7 @@ def identity_sums(
     u = math.isqrt(cps[-1])
     if kind.tag != "squarefree_indicator":
         u = max(u, round(cps[-1] ** (2 / 3)))
-    table = _MoebiusTable(u, segment_size=segment_size)
+    table = _MoebiusTable(u)
     if kind.tag == "squarefree_indicator":
         return [table.squarefree_count(c) for c in cps]
     out = []

@@ -18,8 +18,8 @@ segment a few times each, so, as in a bucket sieve, their hits are gathered
 and written in batched scatters, not one numpy call per step.  Primes, units,
 squares and prime powers are computed once per stream (`sieve_base`).
 A von Mangoldt segment is a `SparseSegment` of its prime powers, about
-1 in 20 values at 10^9: a fresh psi(10^9) `sum` takes 5.5-6.5 s and 35 MiB (2 vCPUs; dense
-float64 segments: 7.7-7.9 s, 49 MiB).
+1 in 20 values at 10^9: a fresh psi(10^9) `sum` takes 3.2-3.3 s and 37 MiB peak RSS
+(shared 2 vCPU host).
 
 A slow trial-division oracle (`factor_signature`, `oracle_value`) computes
 the same functions straight from the definitions and is the independent
@@ -146,7 +146,9 @@ def range_sums(kind: FunctionKind, ends, segments) -> np.ndarray:
             first, final = ends.searchsorted((lo, min(hi, last)))
             bounds = np.concatenate(([0], offsets.searchsorted(ends[first:final] + 1 - lo), [kept]))
             held = np.flatnonzero(np.diff(bounds))  # the ranges that hold a weight
-            rows[:, first + held] += [np.add.reduceat(part, bounds[held]) for part in (head, weights - head)]
+            rows[0, first + held] += np.add.reduceat(head, bounds[held])
+            rest = np.subtract(weights, head, out=head)  # the heads' buffer, so one temporary
+            rows[1, first + held] += np.add.reduceat(rest, bounds[held])
         if hi >= last:
             return rows
     raise ValueError(f"the segments end before {last}")
@@ -263,9 +265,9 @@ def _sieve_steps(buf: np.ndarray, offsets: np.ndarray, steps: np.ndarray, units=
     if batched == len(steps):
         return
     offsets, steps = offsets[batched:], steps[batched:]
+    live = offsets < len(buf)  # most steps longer than the segment hit nothing
+    offsets, steps = offsets[live], steps[live]
     counts = (len(buf) - 1 - offsets) // steps + 1
-    live = counts > 0  # most steps longer than the segment hit nothing
-    offsets, steps, counts = offsets[live], steps[live], counts[live]
     if units is not None:
         units = units[batched:][live]
     ends = np.cumsum(counts)  # the hits of the steps up to each one
@@ -397,14 +399,12 @@ def segment_bounds(lo: int, hi: int, size: int = DEFAULT_SEGMENT_SIZE) -> list[t
     return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
 
 
-def validate_range(lo: int, hi: int, *, segment_size: int) -> None:
-    """Raise ValueError for a range or setting that `iter_segments` refuses."""
+def validate_range(lo: int, hi: int) -> None:
+    """Raise ValueError for a range that `iter_segments` refuses."""
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
     if hi > DEFAULT_MAX_HI:
         raise ValueError(f"hi={hi} exceeds the configured maximum {DEFAULT_MAX_HI}")
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
 
 
 def iter_segments(
@@ -418,26 +418,22 @@ def iter_segments(
     """Yield (seg_lo, seg_hi, values) covering [lo, hi] in ascending order, each segment sieved
     on the calling thread when it is asked for; von Mangoldt's values are `SparseSegment`s.
 
-    `workers` is accepted and ignored: every stream runs this one loop.
+    Every segment holds `segment_size` values but the last.  This is the one place a segment
+    length is chosen: no result depends on it, so every other entry point streams at the
+    default.  `workers` is accepted and ignored: every stream runs this one loop.
     """
-    validate_range(lo, hi, segment_size=segment_size)
+    if segment_size < 1:
+        raise ValueError("segment_size must be positive")
+    validate_range(lo, hi)
     base = sieve_base(hi + 2)  # +2 covers the twin lookahead
     for a, b in segment_bounds(lo, hi, segment_size):
         yield a, b, _segment_values(kind, a, b, base)
 
 
-def sieve_table(
-    kind: FunctionKind,
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> ValueTable:
+def sieve_table(kind: FunctionKind, lo: int, hi: int, *, workers: int = 1) -> ValueTable:
     """Materialize f(lo..hi) as a ValueTable, each segment written into one buffer; `workers`
     is accepted and ignored, as in `iter_segments`."""
-    segments = iter_segments(kind, lo, hi, segment_size=segment_size)
-    return table_from_segments(kind, lo, hi, segments)
+    return table_from_segments(kind, lo, hi, iter_segments(kind, lo, hi))
 
 
 def table_from_segments(kind: FunctionKind, lo: int, hi: int, segments) -> ValueTable:

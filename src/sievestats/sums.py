@@ -8,7 +8,7 @@ import numpy as np
 
 from .identities import identity_sums, prefers_identities
 from .kinds import MOEBIUS, FunctionKind, validate_checkpoints
-from .sieves import DEFAULT_SEGMENT_SIZE, iter_segments, range_sums, validate_range
+from .sieves import iter_segments, range_sums, validate_range
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,7 @@ class SummationSeries:
         return dict(zip(self.checkpoints, self.sums))
 
 
-def accumulate(
-    kind: FunctionKind,
-    n_max: int,
-    checkpoints,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> SummationSeries:
+def accumulate(kind: FunctionKind, n_max: int, checkpoints, *, workers: int = 1) -> SummationSeries:
     """Exact S(c) for every checkpoint c.
 
     Sparse checkpoints of the kinds in `identities.IDENTITY_TAGS` come from
@@ -48,12 +41,11 @@ def accumulate(
     and ignored, as in `sieves.iter_segments`.
     """
     cps = validate_checkpoints(checkpoints, n_max)
-    validate_range(1, n_max, segment_size=segment_size)
+    validate_range(1, n_max)
     if prefers_identities(kind, cps, n_max):
-        sums = identity_sums(kind, cps, segment_size=segment_size)
+        sums = identity_sums(kind, cps)
     else:
-        segments = iter_segments(kind, 1, n_max, segment_size=segment_size)
-        sums = checkpoint_sums(kind, cps, segments)
+        sums = checkpoint_sums(kind, cps, iter_segments(kind, 1, n_max))
     return SummationSeries(kind, tuple(cps), tuple(sums))
 
 
@@ -64,8 +56,8 @@ def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
     return np.cumsum(range_sums(kind, cps, segments), axis=1).sum(axis=0).tolist()
 
 
-def mertens(n: int, **kwargs) -> int:
+def mertens(n: int) -> int:
     """M(n) = sum_{k<=n} mu(k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return accumulate(MOEBIUS, n, [n], **kwargs).sums[0]
+    return accumulate(MOEBIUS, n, [n]).sums[0]

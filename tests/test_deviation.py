@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -127,6 +128,14 @@ def test_parity_weight_exponent_check_passes():
     assert report.passed
 
 
+def riemann_check(n_max, xi, segment_size):
+    """`mertens_riemann_check` over a moebius stream of `segment_size`-value segments."""
+    with pytest.MonkeyPatch.context() as mp:
+        stream = functools.partial(ss.sieves.iter_segments, segment_size=segment_size)
+        mp.setattr(ss.deviation, "iter_segments", stream)
+        return ss.mertens_riemann_check(n_max, xi)
+
+
 def test_riemann_check_small_range():
     report = ss.mertens_riemann_check(10**5, 0.0)
     assert report.passed
@@ -143,7 +152,7 @@ def test_riemann_check_dense_vs_checkpoint_scan():
     ns = np.arange(1, n + 1, dtype=np.float64)
     mask = (np.abs(m) >= 1) & (ns >= 2)
     ratios = np.log(np.abs(m[mask])) / (0.5 * np.log(ns[mask]))
-    report = ss.mertens_riemann_check(n, 0.0, segment_size=777)
+    report = riemann_check(n, 0.0, 777)
     assert report.worst_ratio == pytest.approx(float(ratios.max()), abs=1e-12)
     assert report.skipped == int(len(m) - mask.sum())
 
@@ -178,7 +187,7 @@ def _dense_walk_reference(vals, xi):
     ],
 )
 def test_pruned_riemann_check_matches_dense_reference(n_max, xi, segment_size):
-    report = ss.mertens_riemann_check(n_max, xi, segment_size=segment_size)
+    report = riemann_check(n_max, xi, segment_size)
     worst, argmax, skipped = _dense_riemann_reference(n_max, xi)
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
     assert (report.argmax_n, report.skipped) == (argmax, skipped)
@@ -187,17 +196,17 @@ def test_pruned_riemann_check_matches_dense_reference(n_max, xi, segment_size):
 
 
 def test_late_worst_ratio_survives_pruning():
-    report = ss.mertens_riemann_check(400000, 0.0, segment_size=65536)
+    report = riemann_check(400000, 0.0, 65536)
     assert report.argmax_n == 300551  # the fifth segment; the first sets n = 5
     assert report.argmax_n // 65536 == 4
 
 
 @pytest.mark.parametrize("n_max, segment_size", [(50000, 999), (400000, 65536)])
 def test_pruning_changes_no_report_field(monkeypatch, n_max, segment_size):
-    pruned = ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size)
+    pruned = riemann_check(n_max, 0.0, segment_size)
     # An infinite slack makes every bound lose, so every segment is scanned.
     monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
-    assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
+    assert riemann_check(n_max, 0.0, segment_size) == pruned
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -210,7 +219,7 @@ def test_pruning_changes_no_report_field(monkeypatch, n_max, segment_size):
 )
 def test_chunked_riemann_check_matches_dense_reference(case, xi):
     n_max, segment_size = case
-    report = ss.mertens_riemann_check(n_max, xi, segment_size=segment_size)
+    report = riemann_check(n_max, xi, segment_size)
     worst, argmax, skipped = _dense_riemann_reference(n_max, xi)
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
     assert (report.argmax_n, report.skipped) == (argmax, skipped)
@@ -228,12 +237,12 @@ def test_chunked_riemann_check_matches_dense_reference(case, xi):
     ],
 )
 def test_riemann_check_zeros_on_chunk_edges(monkeypatch, n_max, segment_size):
-    pruned = ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size)
+    pruned = riemann_check(n_max, 0.0, segment_size)
     worst, argmax, skipped = _dense_riemann_reference(n_max, 0.0)
     assert pruned.worst_ratio == pytest.approx(worst, rel=1e-12)
     assert (pruned.argmax_n, pruned.skipped) == (argmax, skipped)
     monkeypatch.setattr(ss.deviation, "PRUNE_SLACK", math.inf)
-    assert ss.mertens_riemann_check(n_max, 0.0, segment_size=segment_size) == pruned
+    assert riemann_check(n_max, 0.0, segment_size) == pruned
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -257,13 +266,13 @@ def test_riemann_check_on_walks_that_meet_the_chunk_bound(runs, segment_size):
         expected = _dense_walk_reference(vals, 0.0)
     for slack in (ss.deviation.PRUNE_SLACK, math.inf):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ss.deviation, "iter_segments", walk)
+            mp.setattr(ss.deviation, "iter_segments", functools.partial(walk, segment_size=segment_size))
             mp.setattr(ss.deviation, "PRUNE_SLACK", slack)
             if expected is None:
                 with pytest.raises(ValueError, match="skipped"):
-                    ss.mertens_riemann_check(len(vals), 0.0, segment_size=segment_size)
+                    ss.mertens_riemann_check(len(vals), 0.0)
                 continue
-            report = ss.mertens_riemann_check(len(vals), 0.0, segment_size=segment_size)
+            report = ss.mertens_riemann_check(len(vals), 0.0)
         assert report.worst_ratio == pytest.approx(expected[0], rel=1e-12)
         assert (report.argmax_n, report.skipped) == expected[1:]
 

@@ -1,5 +1,6 @@
 """Floor-quotient prefix-sum identities against the sieve route and published values."""
 
+import functools
 import random
 from pathlib import Path
 
@@ -44,7 +45,9 @@ def test_random_checkpoints_up_to_three_million(kind):
     segment_size=st.integers(1000, 1 << 16),
 )
 def test_identities_match_the_sieve(kind, cps, segment_size):
-    got = identity_sums(kind, cps, segment_size=segment_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "iter_segments", functools.partial(sieves.iter_segments, segment_size=segment_size))
+        got = identity_sums(kind, cps)
     assert got == sieved(kind, cps, segment_size=segment_size)
 
 
@@ -99,19 +102,23 @@ def test_parity_weight_is_three_mertens_plus_squarefree_over_two():
 
 
 @pytest.mark.parametrize(
-    "n,kwargs,message",
+    "n,segment_size,message",
     [
-        (sieves.DEFAULT_MAX_HI + 1, {}, "exceeds the configured maximum"),
-        (10**6, {"segment_size": 0}, "segment_size must be positive"),
+        (sieves.DEFAULT_MAX_HI + 1, sieves.DEFAULT_SEGMENT_SIZE, "exceeds the configured maximum"),
+        (10**6, 0, "segment_size must be positive"),
     ],
     ids=["above-max-hi", "segment-size-zero"],
 )
-def test_identity_route_refuses_what_the_sieve_refuses(n, kwargs, message):
+def test_identity_route_refuses_what_the_sieve_refuses(n, segment_size, message):
+    """The identity route's mu table is read from the same stream, so a stream it is handed
+    refuses there as it does on its own."""
     assert prefers_identities(ss.MOEBIUS, [n], n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "iter_segments", functools.partial(sieves.iter_segments, segment_size=segment_size))
+        with pytest.raises(ValueError, match=message):
+            ss.accumulate(ss.MOEBIUS, n, [n])
     with pytest.raises(ValueError, match=message):
-        ss.accumulate(ss.MOEBIUS, n, [n], **kwargs)
-    with pytest.raises(ValueError, match=message):
-        list(sieves.iter_segments(ss.MOEBIUS, 1, n, **kwargs))
+        list(sieves.iter_segments(ss.MOEBIUS, 1, n, segment_size=segment_size))
 
 
 class _SieveRoute(Exception):
@@ -156,7 +163,7 @@ def test_single_checkpoint_takes_the_identities(segment_calls):
 
 def test_variance_growth_takes_the_sieve(segment_calls):
     with pytest.raises(_SieveRoute):
-        deviation.variance_growth(ss.MOEBIUS, 2 * 10**7, 1000, workers=2)
+        deviation.variance_growth(ss.MOEBIUS, 2 * 10**7, 1000)
     assert segment_calls == [("moebius", 1, 2 * 10**7)]
 
 

@@ -21,6 +21,7 @@ from sievestats.sieves import (
     oracle_value,
     read_table_csv,
     sieve_table,
+    table_from_segments,
     table_text,
     trial_factors,
     write_table_csv,
@@ -75,17 +76,22 @@ def test_sieve_matches_oracle(kind):
             assert table.value_at(n) == pytest.approx(expected, abs=1e-12)
 
 
+def table_in_segments(kind, lo, hi, segment_size):
+    """f on [lo, hi] as `sieve_table` builds it, from `segment_size`-value segments."""
+    return table_from_segments(kind, lo, hi, sieves.iter_segments(kind, lo, hi, segment_size=segment_size))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_segmentation_invariance(kind):
-    one = sieve_table(kind, 1, 30000, segment_size=1 << 20)
-    many = sieve_table(kind, 1, 30000, segment_size=977)
+    one = table_in_segments(kind, 1, 30000, 1 << 20)
+    many = table_in_segments(kind, 1, 30000, 977)
     assert np.array_equal(one.values, many.values)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_offset_window_matches_full_sieve(kind):
     lo, hi = 12345, 14321
-    window = sieve_table(kind, lo, hi, segment_size=500)
+    window = table_in_segments(kind, lo, hi, 500)
     full = sieve_table(kind, 1, hi)
     assert np.array_equal(window.values, full.values[lo - 1 :])
 
@@ -225,6 +231,8 @@ def test_range_validation():
         sieve_table(ss.MOEBIUS, 10, 2)
     with pytest.raises(ValueError, match="exceeds the configured maximum"):
         sieve_table(ss.MOEBIUS, 1, 10**10)
+    with pytest.raises(ValueError, match="segment_size must be positive"):
+        next(sieves.iter_segments(ss.MOEBIUS, 1, 10**6, segment_size=0))
     with pytest.raises(ValueError, match="k >= 1"):
         ss.omega_equals(0)
 
@@ -507,8 +515,8 @@ SIGNATURE_KINDS = [
 FIRST_UNSIEVED = 31627
 
 
-def _assert_matches_oracle(kind, lo, hi, points=None, **kwargs):
-    table = sieve_table(kind, lo, hi, **kwargs)
+def _assert_matches_oracle(kind, lo, hi, points=None, segment_size=sieves.DEFAULT_SEGMENT_SIZE):
+    table = table_in_segments(kind, lo, hi, segment_size)
     for n in range(lo, hi + 1) if points is None else points:
         expected = oracle_value(kind, n)
         if not kind.is_integer_valued:
@@ -588,7 +596,7 @@ def test_signature_cap_is_refused_beyond_the_uint8_bound():
     assert 7 * math.log2(SIGNATURE_MAX_HI) <= 255
     assert DEFAULT_MAX_HI <= SIGNATURE_MAX_HI
     with pytest.raises(ValueError, match="exceeds the configured maximum"):
-        sieves.validate_range(1, SIGNATURE_MAX_HI + 1, segment_size=1)
+        sieves.validate_range(1, SIGNATURE_MAX_HI + 1)
 
 
 def test_signature_log_units_are_far_from_rounding_ties():
@@ -698,7 +706,7 @@ def test_von_mangoldt_sparse_segments_match_dense_reference(window):
     assert uniq.tobytes() == want_uniq.tobytes() and counts.tolist() == want_counts.tolist()
     lines = "".join(f"{v:.17g}\n" if v else "0\n" for v in dense.tolist())
     assert "".join(sieves.table_pieces(kind, lo, hi, segments)) == f"{kind},{lo},{hi}\n{lines}"
-    assert sieve_table(kind, lo, hi, segment_size=size).values.tobytes() == dense.tobytes()
+    assert table_in_segments(kind, lo, hi, size).values.tobytes() == dense.tobytes()
 
 
 def test_von_mangoldt_segment_allocates_no_dense_floats():

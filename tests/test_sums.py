@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievestats as ss
-from sievestats import normality, sums
+from sievestats import normality, sieves, sums
 from sievestats.cli import run
 from sievestats.sieves import (DEFAULT_SEGMENT_SIZE, PIECE_VALUES, iter_segments, oracle_value, range_sums,
                                segment_bounds)
@@ -91,23 +92,31 @@ def test_checkpoint_validation():
         ss.accumulate(ss.MOEBIUS, 10, [])
 
 
-def test_von_mangoldt_sum_is_compensated_and_close():
+def segments_of(monkeypatch, size):
+    """Makes the streams `sums.accumulate` opens cut `size`-value segments."""
+    monkeypatch.setattr(sums, "iter_segments", functools.partial(sieves.iter_segments, segment_size=size))
+
+
+def test_von_mangoldt_sum_is_compensated_and_close(monkeypatch):
     # Chebyshev psi(n) against a direct oracle sum at modest n.
     n = 5000
-    series = ss.accumulate(ss.VON_MANGOLDT, n, [n], segment_size=997)
+    segments_of(monkeypatch, 997)
+    series = ss.accumulate(ss.VON_MANGOLDT, n, [n])
     direct = math.fsum(oracle_value(ss.VON_MANGOLDT, i) for i in range(1, n + 1))
     assert series.sums[0] == pytest.approx(direct, abs=1e-9)
 
 
-def test_von_mangoldt_checkpoint_sums_pinned():
+def test_von_mangoldt_checkpoint_sums_pinned(monkeypatch):
     # Each equals `math.fsum` of the weights up to its checkpoint, over 997-value segments:
     # the split into exact heads on the 2^-22 grid and small rests rounds each sum once.
-    series = ss.accumulate(ss.VON_MANGOLDT, 10**6, [1000, 65536, 10**6], segment_size=997)
+    segments_of(monkeypatch, 997)
+    series = ss.accumulate(ss.VON_MANGOLDT, 10**6, [1000, 65536, 10**6])
     assert series.sums == (996.6809122471752, 65466.400464967504, 999586.597495633)
 
 
-def test_prefix_sums_dense():
-    series = ss.accumulate(ss.MOEBIUS, 2000, range(1, 2001), segment_size=611)
+def test_prefix_sums_dense(monkeypatch):
+    segments_of(monkeypatch, 611)
+    series = ss.accumulate(ss.MOEBIUS, 2000, range(1, 2001))
     assert list(series.sums) == oracle_prefix(ss.MOEBIUS, 2000)
 
 
