@@ -29,7 +29,7 @@ _EXPORTS = {
         "psi",
         "variance_growth",
     ),
-    "empirical": ("EmpiricalCdf", "EmpiricalMoments", "density", "empirical_cdf", "moments"),
+    "empirical": ("EmpiricalCdf", "EmpiricalMoments", "empirical_cdf", "moments"),
     "kinds": (
         "LIOUVILLE",
         "MOEBIUS",
@@ -48,33 +48,13 @@ _EXPORTS = {
         "StationarityReport",
         "alpha_hat",
         "autocovariance",
-        "independence_gap",
         "stationarity_report",
     ),
-    "normality": (
-        "NormalityReport",
-        "binomial_variance",
-        "block_standardize",
-        "ks_normal",
-        "mertens_increment_variance",
-        "normality_report",
-        "squarefree_parity_weight_moments",
-    ),
+    "normality": ("NormalityReport", "block_standardize", "ks_normal", "normality_report"),
     "oeis": ("BFile", "oeis_check", "parse_bfile", "read_bfile"),
     "sieves": ("FactorSignature", "ValueTable", "factor_signature", "oracle_value", "sieve_table"),
-    "spectral": (
-        "MovingAverageSpec",
-        "SpectralRealization",
-        "SpectralSpec",
-        "covariance_average",
-        "ergodic_average",
-        "ma_theoretical_covariance",
-        "mse_study",
-        "sample_moving_average",
-        "sample_spectral",
-        "theoretical_covariance",
-    ),
-    "sums": ("SummationSeries", "accumulate", "mertens"),
+    "spectral": ("SpectralSpec", "covariance_average", "mse_study", "theoretical_covariance"),
+    "sums": ("SummationSeries", "accumulate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({"cli", "identities", *_EXPORTS})

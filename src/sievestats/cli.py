@@ -191,6 +191,8 @@ def _cmd_normality(args) -> int:
 def _cmd_ergodic(args) -> int:
     from . import spectral
 
+    if args.n_list is not None and args.mse_output is None:
+        raise ValueError("--n-list is only read with --mse-output")
     spec = spectral.SpectralSpec(_parse_atoms(args.atoms))
     grid = _geometric_grid(args.n, "--n")
     rows = [(n, spectral.covariance_average(spec, n)) for n in grid]
@@ -218,6 +220,8 @@ def _cmd_deviation(args) -> int:
     if args.mode == "variance-growth":
         if args.checkpoints is not None:
             raise ValueError("--checkpoints is not read in --mode variance-growth")
+        if args.trajectory is not None:
+            raise ValueError("--trajectory is not written in --mode variance-growth")
         growth = dev.variance_growth(kind, args.n_max, args.block_size)
         _emit(_json_text(growth), args.output)
         return 0

@@ -58,10 +58,8 @@ def parse_psi(text: str) -> PsiSpec:
     return PsiSpec(text)
 
 
-def psi(spec: PsiSpec | str, n: int) -> float:
+def psi(spec: PsiSpec, n: int) -> float:
     """Evaluate the comparison function; arguments are clamped so logs stay positive."""
-    if isinstance(spec, str):
-        spec = parse_psi(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.form == "const":
@@ -85,7 +83,7 @@ class DeviationReport:
     skipped: int = 0
 
 
-def counting_ratio(n: int, s, c: float, psi_spec: PsiSpec | str) -> float:
+def counting_ratio(n: int, s, c: float, psi_spec: PsiSpec) -> float:
     """|S(n) - nC| / (0.5 sqrt(n) Psi(n))."""
     return abs(s - n * c) / (0.5 * math.sqrt(n) * psi(psi_spec, n))
 

@@ -1,4 +1,4 @@
-"""Empirical moments, densities and the distribution function of f on [1, n].
+"""Empirical moments and the distribution function of f on [1, n].
 
 The underlying probability model is the uniform measure on {1, ..., n}:
 probabilities are plain frequencies, the mean is S(n)/n and the distribution
@@ -72,17 +72,6 @@ def moments_from_counts(kind: FunctionKind, n: int, uniq, counts) -> EmpiricalMo
 def moments(table: ValueTable, n: int) -> EmpiricalMoments:
     """Mean S(n)/n, variance (1/n)sum f^2 - mean^2, extremes and histogram."""
     return moments_from_counts(table.kind, n, *value_counts(table.kind, table.segments(n)))
-
-
-def density(kind: FunctionKind, n: int) -> float:
-    """Fraction Q(n)/n of integers in [1, n] satisfying an indicator kind."""
-    if not kind.is_indicator:
-        raise ValueError(f"density requires an indicator kind, got {kind}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    from .sums import accumulate
-
-    return accumulate(kind, n, [n]).sums[0] / n
 
 
 @dataclass(frozen=True)

@@ -243,25 +243,6 @@ def autocovariance(table: ValueTable, n: int, lags) -> CovarianceSequence:
     return CovarianceSequence(n, tuple(lags), tuple(pairs.covariances(lags)), pairs.mean)
 
 
-def independence_gap(table: ValueTable, n: int, lag: int, b1, b2) -> float:
-    """|P(f(k) in B1, f(k+lag) in B2) - P(f(k) in B1) P(f(k+lag) in B2)|.
-
-    Frequencies run over k in [1, n-lag]; an empty subset gives 0.
-    """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if n - lag < 1:
-        raise ValueError("empty range after the lag shift")
-    alphabet = table.kind.alphabet()
-    if alphabet is None:
-        raise ValueError("independence gaps require a finite-alphabet kind")
-    b1, b2 = frozenset(b1), frozenset(b2)
-    if not b1 <= set(alphabet) or not b2 <= set(alphabet):
-        raise ValueError(f"subsets must lie within the alphabet {alphabet}")
-    rows1, rows2 = ([[a in b for a in alphabet]] for b in (b1, b2))
-    return float(PairCounts(n, table.segments(n), alphabet).gaps(lag, rows1, rows2)[0, 0])
-
-
 @dataclass(frozen=True)
 class MixingEstimate:
     n: int

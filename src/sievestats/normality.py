@@ -1,4 +1,4 @@
-"""Block-sum normality tests and closed-form moment constants.
+"""Block-sum normality tests.
 
 A single deterministic sequence provides one realization of its partial sums,
 so limiting normality is tested on disjoint block sums treated as
@@ -18,15 +18,6 @@ from .kinds import FunctionKind
 from .sieves import ValueTable, range_sums
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def binomial_variance(q: int, n: int) -> float:
-    """Variance Q(1 - Q/n) of an n-trial count with Q observed successes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= q <= n:
-        raise ValueError("need 0 <= Q <= n")
-    return q * (1.0 - q / n)
 
 
 def normal_cdf(z: float) -> float:
@@ -121,21 +112,3 @@ def normality_report(label: str, n: int, blocks: BlockSample) -> NormalityReport
         blocks.sample_mean,
         blocks.sample_sd,
     )
-
-
-def squarefree_parity_weight_moments() -> tuple[float, float]:
-    """Limiting mean 3/pi^2 and variance 15/pi^2 - 9/pi^4 of the three-valued weight.
-
-    The weight takes 2 and -1 with limiting probability 3/pi^2 each and 0 with
-    probability 1 - 6/pi^2, giving mean (2 - 1)*3/pi^2 and second moment
-    (4 + 1)*3/pi^2.
-    """
-    pi2 = math.pi**2
-    mean = 3.0 / pi2
-    variance = 15.0 / pi2 - 9.0 / pi2**2
-    return mean, variance
-
-
-def mertens_increment_variance() -> float:
-    """Limiting variance 6/pi^2 of the Moebius values (density of squarefree numbers)."""
-    return 6.0 / math.pi**2

@@ -51,19 +51,11 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFile:
     return BFile(sequence_id, tuple(entries))
 
 
-def format_bfile(bfile: BFile) -> str:
-    return "".join(f"{i} {v}\n" for i, v in bfile.entries)
-
-
 def read_bfile(path) -> BFile:
     path = Path(path)
     match = re.fullmatch(r"b(\d+)\.txt", path.name)
     sequence_id = f"A{match.group(1)}" if match else path.stem
     return parse_bfile(path.read_text(), sequence_id)
-
-
-def write_bfile(bfile: BFile, path) -> None:
-    Path(path).write_text(format_bfile(bfile), newline="\n")
 
 
 def oeis_check(computed, bfile: BFile) -> list[tuple[int, int, int]]:

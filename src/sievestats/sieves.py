@@ -94,12 +94,6 @@ class ValueTable:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def value_at(self, n: int):
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"{n} outside table range [{self.lo}, {self.hi}]")
-        v = self.values[n - self.lo]
-        return int(v) if self.kind.is_integer_valued else float(v)
-
     def segments(self, n: int) -> Iterator[tuple[int, int, np.ndarray | SparseSegment]]:
         """f(1), ..., f(n) as (lo, hi, values) views, sliced as `iter_segments` slices [1, n]."""
         if self.lo != 1 or self.hi < n or n < 1:

@@ -10,8 +10,8 @@ zero; with no zero atom the average decays like 1/n.
 Every average over t < n is taken in closed form, atom by atom, from the
 partial mean (1/n) sum_{t<n} exp(i lambda t) (`_partial_mean_factor`), in the
 same time and memory at any n, and the ergodic average's mean-square error is
-exact (`mse_study`); only `sample_spectral` builds a sequence, and the only
-randomness is a draw of amplitudes from PCG64 seeded with SeedSequence(seed).
+exact (`mse_study`); no sequence is built, and the only randomness is a draw
+of amplitudes from PCG64 seeded with SeedSequence(seed).
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ class SpectralSpec:
             if sig2 <= 0:
                 raise ValueError("atom variances must be positive")
 
-    def total_variance(self) -> float:
-        return sum(sig2 for _, sig2 in self.atoms)
-
-
-@dataclass(frozen=True)
-class SpectralRealization:
-    spec: SpectralSpec
-    seed: int | None
-    z: np.ndarray  # complex amplitude per atom
-    x: np.ndarray  # complex sequence, indices 0..n-1
-
 
 def _draw_amplitudes(spec: SpectralSpec, rng: np.random.Generator) -> np.ndarray:
     sig2 = np.array([a[1] for a in spec.atoms], dtype=np.float64)
@@ -58,33 +47,9 @@ def _draw_amplitudes(spec: SpectralSpec, rng: np.random.Generator) -> np.ndarray
     return rng.standard_normal(len(sig2)) * scale + 1j * rng.standard_normal(len(sig2)) * scale
 
 
-def _reconstruct(spec: SpectralSpec, z: np.ndarray, n: int) -> np.ndarray:
-    lam = np.array([a[0] for a in spec.atoms], dtype=np.float64)
-    phases = np.exp(1j * np.outer(np.arange(n), lam))
-    return phases @ z
-
-
-def sample_spectral(spec: SpectralSpec, n: int, seed: int) -> SpectralRealization:
-    """Realize x_0..x_{n-1}; amplitudes are independent complex Gaussians.
-
-    Independence implies the required orthogonality E z_i conj(z_j) = 0.
-    """
-    if not spec.atoms:
-        raise ValueError("spectrum must contain at least one atom")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = _draw_amplitudes(spec, np.random.default_rng(np.random.SeedSequence(seed)))
-    return SpectralRealization(spec, seed, z, _reconstruct(spec, z, n))
-
-
 def theoretical_covariance(spec: SpectralSpec, h: int) -> complex:
     """R(h) = sum_k sigma_k^2 exp(i lambda_k h) (the atomic spectral transform)."""
     return complex(sum(sig2 * np.exp(1j * lam * h) for lam, sig2 in spec.atoms))
-
-
-def ergodic_average(realization: SpectralRealization) -> complex:
-    """A_n = (1/n) sum_{k<n} x_k of the realized sequence."""
-    return complex(realization.x.mean())
 
 
 def _dirichlet_mean(lam: float, n: int) -> float:
@@ -138,53 +103,3 @@ def realized_autocovariance(spec: SpectralSpec, z: np.ndarray, n: int, lags) -> 
             raise ValueError(f"lag {h} outside [0, {n})")
         out.append(sum(c * np.exp(1j * lj * h) * _partial_mean_factor(d, n - h) for c, lj, d in pairs))
     return np.array(out, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class MovingAverageSpec:
-    """Finite moving average y_t = sum_{k<=K} a_k xi_{t-k} (+ mean)."""
-
-    coefficients: tuple
-    mean: float = 0.0
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("at least one coefficient is required")
-
-    @property
-    def span(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def sample_moving_average(spec: MovingAverageSpec, n: int, seed: int) -> np.ndarray:
-    """Length-n sample driven by i.i.d. standard normal innovations."""
-    k = spec.span
-    if n <= 10 * k:
-        raise ValueError(f"n={n} too small for coefficient span {k} (need n > {10 * k})")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xi = rng.standard_normal(n + k)
-    a = np.asarray(spec.coefficients)
-    y = np.convolve(xi, a, mode="valid")
-    return y + spec.mean
-
-
-def ma_theoretical_covariance(spec: MovingAverageSpec, h: int):
-    """R(h) = sum_j a_{j+h} conj(a_j) for unit-variance orthonormal innovations."""
-    a = np.asarray(spec.coefficients)
-    h = abs(int(h))
-    if h > spec.span:
-        return 0.0 if not np.iscomplexobj(a) else 0.0j
-    value = np.sum(a[h:] * np.conj(a[: len(a) - h]))
-    return complex(value) if np.iscomplexobj(a) else float(value.real)
-
-
-def empirical_autocovariance(x: np.ndarray, lags) -> np.ndarray:
-    """R_hat(h) = (1/(n-h)) sum_k (x_{k+h} - m)(x_k - m) for each lag, x real, m its mean."""
-    x = np.asarray(x)
-    n, xc = len(x), x - x.mean()
-    out = []
-    for h in map(int, lags):
-        if not 0 <= h < n:
-            raise ValueError(f"lag {h} outside [0, {n})")
-        out.append(np.dot(xc[h:], xc[: n - h]) / (n - h))
-    return np.array(out)

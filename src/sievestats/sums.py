@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import identity_sums, prefers_identities
-from .kinds import MOEBIUS, FunctionKind, validate_checkpoints
+from .kinds import FunctionKind, validate_checkpoints
 from .sieves import iter_segments, range_sums, validate_range
 
 
@@ -54,10 +54,3 @@ def checkpoint_sums(kind: FunctionKind, cps: list[int], segments) -> list:
     the last checkpoint: the running sums of `sieves.range_sums` over the checkpoints, exact
     Python ints for integer kinds and, for von Mangoldt, `math.fsum` of the weights up to c."""
     return np.cumsum(range_sums(kind, cps, segments), axis=1).sum(axis=0).tolist()
-
-
-def mertens(n: int) -> int:
-    """M(n) = sum_{k<=n} mu(k)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return accumulate(MOEBIUS, n, [n]).sums[0]

@@ -208,6 +208,11 @@ def test_sum_command(tmp_path):
         (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--n-list", "0,10",
           "--mse-output", "mse", "--autocov-output", "autocov"],
          "n values must be positive"),
+        (["deviation", "--kind", "moebius", "--n-max", "100000", "--mode", "variance-growth",
+          "--trajectory", "trajectory"],
+         "--trajectory is not written in --mode variance-growth"),
+        (["ergodic", "--atoms", "0:2,1:1", "--n", "100", "--n-list", "10,100"],
+         "--n-list is only read with --mse-output"),
     ],
     ids=["stats-cdf-limit", "dependence-von-mangoldt-limit", "dependence-order",
          "dependence-max-lag", "normality-count", "normality-size", "dependence-report-checkpoints", "sum-n-max-zero",
@@ -218,7 +223,7 @@ def test_sum_command(tmp_path):
          "variance-growth-checkpoints", "deviation-counting-kind", "deviation-psi-form",
          "deviation-psi-const-zero", "deviation-trend-c", "deviation-xi-negative",
          "riemann-check-xi-nan", "deviation-xi-inf", "table-hi",
-         "ergodic-lags", "ergodic-n-list"],
+         "ergodic-lags", "ergodic-n-list", "variance-growth-trajectory", "ergodic-n-list-without-mse-output"],
 )
 def test_refused_before_sieving(argv, message, monkeypatch, capsys, tmp_path):
     def no_sieve(*args, **kwargs):

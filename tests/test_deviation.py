@@ -17,20 +17,20 @@ from sievestats.deviation import (
 
 
 def test_psi_constant():
-    assert psi("const:2", 5) == 2.0
+    assert psi(parse_psi("const:2"), 5) == 2.0
     assert psi(PsiSpec("const", 2.0), 10**9) == 2.0
 
 
 def test_psi_log():
-    assert psi("log", 20) == pytest.approx(math.log(20))
-    assert abs(psi("log", 20) - 3.0) < 0.01  # n = round(e^3)
-    assert psi("log", 1) == math.log(3)  # clamped
+    assert psi(parse_psi("log"), 20) == pytest.approx(math.log(20))
+    assert abs(psi(parse_psi("log"), 20) - 3.0) < 0.01  # n = round(e^3)
+    assert psi(parse_psi("log"), 1) == math.log(3)  # clamped
 
 
 def test_psi_loglog():
-    assert psi("loglog", 10**6) == pytest.approx(math.log(math.log(10**6)))
-    assert psi("loglog", 10**6) == pytest.approx(2.6258, abs=1e-4)
-    assert psi("loglog", 2) == math.log(math.log(16))  # clamped
+    assert psi(parse_psi("loglog"), 10**6) == pytest.approx(math.log(math.log(10**6)))
+    assert psi(parse_psi("loglog"), 10**6) == pytest.approx(2.6258, abs=1e-4)
+    assert psi(parse_psi("loglog"), 2) == math.log(math.log(16))  # clamped
 
 
 def test_psi_validation():
@@ -39,7 +39,7 @@ def test_psi_validation():
     with pytest.raises(ValueError, match="positive constant"):
         PsiSpec("const", -1.0)
     with pytest.raises(ValueError):
-        psi("log", 0)
+        psi(parse_psi("log"), 0)
 
 
 def test_counting_check_squarefree_passes():

@@ -1,6 +1,7 @@
 """Each subcommand imports only the modules it runs, the CLI runs BLAS on one thread and starts
-no sieve pool, no output depends on BLAS, and the package exports load on access."""
+no sieve pool, no output depends on BLAS, and the package exports load on access and have callers."""
 
+import ast
 import json
 import os
 import subprocess
@@ -121,7 +122,7 @@ def test_exports_resolve_on_first_access():
     )
     assert child.returncode == 0, child.stderr
     found = json.loads(child.stdout)
-    assert len(found["all"]) == 59
+    assert len(found["all"]) == 47
     assert found["resolved"] == found["all"]
     assert set(found["all"]) <= set(found["dir"])
     assert found["modules"] == ["sievestats.cli", "sievestats.identities", "sievestats.mixing", "sievestats.sieves"]
@@ -139,3 +140,33 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'sievestats' has no attribute 'no_such_name'"):
         ss.no_such_name
     assert not hasattr(ss, "iter_segments")  # a submodule's name, not exported
+
+
+#: Exports that no module of the package calls, each kept for a reason the package's code does not show.
+UNCALLED_EXPORTS = {
+    # the in-process names of kinds that `parse_kind` reads from text
+    "PRIME", "TWIN_PRIME", "SQUAREFREE", "LIOUVILLE", "PARITY_WEIGHT", "omega_equals",
+    # the trial-division check, independent of the sieves, that tools/ and perfbench/ compare against
+    "oracle_value",
+    # `sieve_table` and the statistics that take its table, which perfbench/ pins; they go with
+    # ROADMAP items 1 and 6
+    "sieve_table", "autocovariance", "alpha_hat", "stationarity_report", "moments", "empirical_cdf",
+    "block_standardize",
+}
+
+
+def test_every_export_has_a_caller():
+    """Each name of `__all__` is loaded, read as an attribute or imported somewhere in the
+    package's modules other than `__init__`, or is one of `UNCALLED_EXPORTS`."""
+    read = set()
+    for path in Path(ss.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+    assert UNCALLED_EXPORTS <= set(ss.__all__)
+    assert sorted(set(ss.__all__) - read - UNCALLED_EXPORTS) == []

